@@ -7,8 +7,9 @@ when K has a C^2 boundary with everywhere positive curvature, and its
 eigenvalues are the principal radii of curvature at the boundary point with
 outer normal u.
 
-Bodies cache per-grid Hessian-form stacks and their eigendecompositions, so
-repeated functional evaluations over the same grid cost one batched eigh.
+Hessian-form stacks and their eigenvalues are cached on the grid, keyed by
+the support function, so repeated functional evaluations over the same grid
+cost one batched eigensolve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from . import sphere
-from .sphere import SphericalFunction, q_batch, q_matrix, tangent_frame
+from .sphere import SphericalFunction, q_matrix, tangent_frame
 
 
 class SupportBody:
@@ -32,7 +33,6 @@ class SupportBody:
         self.h = h
         self.n = h.n
         self.label = label or f"K[{h.label}]"
-        self._cache = {}
 
     def __repr__(self):
         return f"SupportBody({self.label}, n={self.n})"
@@ -44,18 +44,12 @@ class SupportBody:
         return q_matrix(self.h, u, frame=frame)
 
     def q_stack(self, grid):
-        """Hessian forms at all grid nodes, (m, n-1, n-1); cached per grid."""
-        key = ("q", grid.grid_id)
-        if key not in self._cache:
-            self._cache[key] = q_batch(self.h, grid.nodes, grid.frames())
-        return self._cache[key]
+        """Hessian forms at all grid nodes, (m, n-1, n-1); cached on the grid."""
+        return grid.q_stack(self.h)
 
     def q_eigs(self, grid):
-        """Eigenvalues of the Hessian forms, (m, n-1), ascending; cached."""
-        key = ("eigs", grid.grid_id)
-        if key not in self._cache:
-            self._cache[key] = np.linalg.eigvalsh(self.q_stack(grid))
-        return self._cache[key]
+        """Eigenvalues of the Hessian forms, (m, n-1), ascending; cached on the grid."""
+        return grid.q_eigs(self.h, lambda: self.q_stack(grid))
 
     def translate(self, v):
         v = np.asarray(v, dtype=float)
@@ -150,16 +144,6 @@ def certify_c2plus(body, grid, margin=1e-6):
     )
 
 
-def require_c2plus(body, grid, margin=1e-6):
-    cert = certify_c2plus(body, grid, margin)
-    if not cert.ok:
-        raise ConstructionError(
-            f"{body.label} fails curvature certification: min eigenvalue "
-            f"{cert.min_eig:.3e} < {margin:.1e} at u={cert.worst_node}"
-        )
-    return cert
-
-
 # -- prescribing the Hessian form at a point ---------------------------------
 
 
@@ -198,80 +182,26 @@ def realize_q(A, u, label=None):
 # -- one-parameter support perturbations --------------------------------------
 
 
-@dataclass
-class PerturbationFamily:
-    """Family s -> body(h + s*phi), with certified convexity range.
+def largest_certified_strength(body, phi, grid, margin=1e-6):
+    """Largest s with Q_h + s Q_phi >= margin at all grid nodes.
 
-    For each grid node, lambda_min(Q_h + s Q_phi) is a concave function of s
-    (a minimum of affine functions of s), so the nodewise minimum over the
-    grid is concave too; once it is >= margin at s=0 and at s=eps it is
-    >= margin on the whole interval.  eps_plus/eps_minus are therefore valid
-    for every intermediate s, not just the sampled ones.
+    Nodewise the minimum eigenvalue is concave in s, so certifying the
+    endpoint certifies the segment [0, s]; and the endpoint is available in
+    closed form: with B = Q_h - margin I positive definite, the constraint
+    B + s Q_phi >= 0 is a congruence away from I + s C >= 0 with
+    C = B^{-1/2} Q_phi B^{-1/2}, so the node's threshold is
+    1 / |most negative eigenvalue of C| — no search loop needed.  Returns 0
+    when the body itself fails the margin and inf when no node limits s.
     """
-
-    body: SupportBody
-    phi: SphericalFunction
-    eps_plus: float
-    eps_minus: float
-    margin: float
-    grid_id: str
-
-    @property
-    def eps_max(self):
-        return min(self.eps_plus, self.eps_minus)
-
-    def at(self, s):
-        s = float(s)
-        if not (-self.eps_minus <= s <= self.eps_plus):
-            raise DomainError(
-                f"s={s:g} outside certified range [{-self.eps_minus:g}, {self.eps_plus:g}]"
-            )
-        return perturb(self.body, self.phi, s)
-
-
-def perturbation_family(body, phi, grid, margin=1e-6, rel_tol=1e-3, max_doublings=60):
-    """Largest certified symmetric-range perturbation of a body by phi.
-
-    Bisects (to relative width rel_tol) for the largest s in each direction
-    with min-eigenvalue level >= margin over the grid.  The default rel_tol
-    matches interactive use; pass a smaller value when the returned range is
-    compared against analytic bounds.
-    """
-    if phi.n != body.n:
-        raise DomainError("perturbation direction has wrong ambient dimension")
     Qh = body.q_stack(grid)
-    Qp = q_batch(phi, grid.nodes, grid.frames())
-
-    def level(s):
-        return float(np.min(np.linalg.eigvalsh(Qh + s * Qp)[:, 0]))
-
-    base = level(0.0)
-    if base < margin:
-        raise ConstructionError(
-            f"base body fails curvature margin: min eigenvalue {base:.3e} < {margin:.1e}"
-        )
-
-    def frontier(direction):
-        lo, hi = 0.0, 1.0
-        for _ in range(max_doublings):
-            if level(direction * hi) < margin:
-                break
-            lo, hi = hi, 2.0 * hi
-        else:
-            return math.inf
-        while hi - lo > rel_tol * max(lo, 1e-300):
-            mid = 0.5 * (lo + hi)
-            if level(direction * mid) >= margin:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    return PerturbationFamily(
-        body=body,
-        phi=phi,
-        eps_plus=frontier(+1.0),
-        eps_minus=frontier(-1.0),
-        margin=float(margin),
-        grid_id=grid.grid_id,
-    )
+    Qp = grid.q_stack(phi)
+    w, V = np.linalg.eigh(Qh)
+    if float(np.min(w)) <= margin:
+        return 0.0
+    inv_sqrt = np.einsum("mab,mb,mcb->mac", V, 1.0 / np.sqrt(w - margin), V)
+    C = np.einsum("mab,mbc,mcd->mad", inv_sqrt, Qp, inv_sqrt)
+    lam = np.linalg.eigvalsh(C)[:, 0]
+    worst = float(np.min(lam))
+    if worst >= 0.0:
+        return math.inf
+    return 1.0 / (-worst)

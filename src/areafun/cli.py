@@ -55,6 +55,7 @@ from .functionals import functional_value
 from .identities import ibp_symmetry_residual
 from .mollify import mollify, mollify_preserves_monotone, sup_distance
 from .reduction import (
+    circle_grid,
     cylinder_lemma_residual,
     dimension_reduction_limit,
     flattened_ellipse,
@@ -713,7 +714,8 @@ def cmd_cylinder_check(args, config):
     R = st.get_float("R", 1.0)
     tol = st.get_float("tol", 0.02)
     grid = reduction_grid(st.get_int("nz", 800), st.get_int("naz", 96))
-    rep = cylinder_lemma_residual(f, K1, R, deltas=deltas, grid=grid)
+    circle = circle_grid()  # shared, so both checks reuse K1's planar stacks
+    rep = cylinder_lemma_residual(f, K1, R, deltas=deltas, grid=grid, circle=circle)
     ok = rep.relative_residual <= tol
     payload = {
         "f": f.label,
@@ -730,7 +732,7 @@ def cmd_cylinder_check(args, config):
     ]
     if st.get("L") is not None:
         L = parse_body(st.get("L"), 3)
-        seg = segment_factor_identity(K1, L, deltas=deltas, grid=grid)
+        seg = segment_factor_identity(K1, L, deltas=deltas, grid=grid, circle=circle)
         seg_ok = seg.relative_residual <= tol
         ok = ok and seg_ok
         payload["segment_identity"] = seg
@@ -892,7 +894,7 @@ def build_parser():
     p.add_argument("--seed", help="rotation sampling seed")
 
     p = add("ibp-check", cmd_ibp_check, "first-order exchange-symmetry residual")
-    p.add_argument("--phi", help="perturbation spec (default poly:\"x1*x2\")")
+    p.add_argument("--phi", help="perturbation spec (default poly:\"x1^2 + x1*x2\")")
     p.add_argument("--body", help="base body (default ball:1)")
     p.add_argument("--factor", help="pass threshold in error-estimate units (default 5)")
 

@@ -22,6 +22,7 @@ from .bodies import (
     certify_c2plus,
     combine,
     ellipsoid,
+    largest_certified_strength,
     perturb,
     realize_q,
 )
@@ -33,6 +34,7 @@ from .functionals import (
     functional_difference,
     functional_segment,
     functional_value,
+    power_concavity,
     second_variation,
 )
 from .mollify import (
@@ -49,7 +51,6 @@ from .sphere import (
     bump,
     cap_grid,
     combination,
-    compose_orthogonal,
     constant,
     make_grid,
     panel_grid,
@@ -104,12 +105,13 @@ def oscillating_phi(u0, v, rho, eps, n, eta=0.0):
     if not (0 < rho <= 0.8 / math.sqrt(n - 1)):
         raise DomainError(f"need 0 < rho <= {0.8 / math.sqrt(n - 1):.3f} for n={n}")
 
-    # orthonormal tangent basis with first column v
+    # orthonormal tangent basis with first column v: v completed by the frame
+    # axes at u0 other than the one most aligned with it, a system of full
+    # rank for every tangent v
     E0 = tangent_frame(u0)
-    Q, _ = np.linalg.qr(np.column_stack([v, E0]))
-    frame = Q[:, : n - 1]
+    drop = int(np.argmax(np.abs(v @ E0)))
+    frame, _ = np.linalg.qr(np.column_stack([v, np.delete(E0, drop, axis=1)]))
     if frame[:, 0] @ v < 0:
-        frame = frame.copy()
         frame[:, 0] = -frame[:, 0]
 
     cut = plateau_cutoff(0.6 * rho, rho)
@@ -129,32 +131,6 @@ def oscillating_phi(u0, v, rho, eps, n, eta=0.0):
     phi.amplitude = float(eps)
     phi.wave_smoothing = float(eta)
     return phi
-
-
-def odd_extension(psi, pole, collar=0.05, check_nodes=4000, seed=11):
-    """Odd reflection psi(u) - psi(-u) of a one-hemisphere function.
-
-    Requires psi to vanish (to 1e-12) outside the open hemisphere around
-    pole, including a collar of width `collar` about the equator — checked on
-    a seeded node set; violation raises DomainError.  The result is exactly
-    odd in floating point and coincides with psi on the support hemisphere.
-    """
-    pole = np.asarray(pole, dtype=float)
-    n = psi.n
-    if pole.shape != (n,) or abs(np.linalg.norm(pole) - 1.0) > 1e-10:
-        raise DomainError("pole must be a unit n-vector")
-    probe = make_grid(n, check_nodes, seed=seed).nodes
-    low = probe[probe @ pole <= collar]
-    worst = float(np.max(np.abs(psi.value(low)))) if len(low) else 0.0
-    if worst > 1e-12:
-        raise DomainError(
-            f"psi reaches {worst:.2e} outside the open hemisphere (collar {collar}); "
-            "odd extension needs strict hemisphere support"
-        )
-    mirrored = compose_orthogonal(psi, -np.eye(n), label=f"{psi.label}(-u)")
-    out = combination([1.0, -1.0], [psi, mirrored], label=f"odd[{psi.label}]")
-    out.pole = pole
-    return out
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -285,29 +261,6 @@ def corpus(seed=CORPUS_SEED):
 
 def default_grids(res3=8192, res4=65536, seed4=1):
     return {3: make_grid(3, res3), 4: make_grid(4, res4, seed=seed4)}
-
-
-def violating_pairs(entries, grids, require_positive=True, min_margin_factor=10.0):
-    """(entry, i) pairs where the order-i condition fails decisively.
-
-    Decisive means worst value below -min_margin_factor * tolerance; with
-    require_positive the weight must also have a positive functional on the
-    unit ball, the precondition for the power-mean concavity statements.
-    """
-    out = []
-    for entry in entries:
-        grid = grids[entry.n]
-        scan = EigenSumScan(entry.f, grid)
-        tol = default_tolerance(entry.f)
-        for i in range(2, entry.n):
-            rep = check_mi(entry.f, i, grid, scan=scan)
-            if rep.verdict == "violated" and rep.worst_value < -min_margin_factor * tol:
-                if require_positive:
-                    val, _ = functional_value(entry.f, ball(entry.n), i, grid)
-                    if val <= 0:
-                        continue
-                out.append((entry, i))
-    return out
 
 
 # -- nested pairs and empirical monotonicity -------------------------------------
@@ -459,7 +412,8 @@ _CAP_LOG_CUTOFF = 30.0  # exp(-30) ~ 1e-13: bump tail beyond the cap is negligib
 
 
 def _bump_cap(u_star, kappa):
-    """Cap grid resolving a sharpness-kappa bump perturbation at u_star.
+    """Cap grid resolving a sharpness-kappa bump perturbation at u_star, and
+    its angular radius theta_max.
 
     The density change under a bump has a negative core and a positive
     shoulder whose integrals nearly cancel; equal-weight global grids see the
@@ -470,10 +424,10 @@ def _bump_cap(u_star, kappa):
     """
     n = len(u_star)
     if n == 2:
-        return None  # circle grids are already spectrally accurate
+        return None, None  # circle grids are already spectrally accurate
     theta_max = math.acos(max(-0.96, 1.0 - _CAP_LOG_CUTOFF / (2.0 * kappa)))
     transverse = 256 if n == 3 else 640 if n == 4 else 4096
-    return cap_grid(u_star, theta_max, 160, transverse)
+    return cap_grid(u_star, theta_max, 160, transverse), theta_max
 
 
 def _bump_tail_bound(n, i, kappa, s, theta_max, fmax, qmax):
@@ -500,6 +454,7 @@ def monotonicity_counterexample(
     delta_regs=(1e-3, 0.03, 0.1),
     drop_factor=10.0,
     margin_target=25.0,
+    scan=None,
 ):
     """Construct nested bodies K inside L with F(K) > F(L).
 
@@ -523,10 +478,11 @@ def monotonicity_counterexample(
     drop clears the decision threshold by margin_target; the first decisive
     hit often sits at the smallest regularization, where certification caps
     the strength and the margin with it.  Raises SearchError (with the sweep
-    diagnostics) if nothing is decisive.
+    diagnostics) if nothing is decisive.  A caller already holding the
+    EigenSumScan of f on grid passes it as scan.
     """
     tol = default_tolerance(f) if tol is None else float(tol)
-    rep = check_mi(f, i, grid)
+    rep = check_mi(f, i, grid, scan=scan)
     if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
         raise SearchError(
             f"precondition: order-{i} condition not decisively violated "
@@ -567,9 +523,9 @@ def monotonicity_counterexample(
         # delta_reg/kappa, and the drop scales with strength times mass, so
         # width wins whenever the first variation has the right sign
         candidates = []
-        for kappa, phi, cap in zip(kappas, bumps, caps):
+        for kappa, phi, (cap, theta_max) in zip(kappas, bumps, caps):
             dF, dF_est = first_variation(f, K, phi, i, cap or grid, form="direct")
-            candidates.append((dF, kappa, phi, cap))
+            candidates.append((dF, kappa, phi, cap, theta_max))
             diagnostics.append(
                 {
                     "stage": "bump",
@@ -581,7 +537,7 @@ def monotonicity_counterexample(
             )
 
         qmin = float(np.min(K.q_eigs(grid)))
-        for dF, kappa, phi, cap in candidates:
+        for dF, kappa, phi, cap, theta_max in candidates:
             if dF >= 0:
                 continue
             # the bump's most negative curvature is 1 - 2 kappa at its
@@ -610,7 +566,7 @@ def monotonicity_counterexample(
                 L = perturb(K, phi, s)
                 drop, est = functional_difference(f, K, L, i, cap or grid)
                 tail = (
-                    _bump_tail_bound(f.n, i, kappa, s, cap._cap_args[1], fmax, qmax)
+                    _bump_tail_bound(f.n, i, kappa, s, theta_max, fmax, qmax)
                     if cap is not None
                     else 0.0
                 )
@@ -793,49 +749,26 @@ def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
     after would bury the curvature under the linear term's quadrature error.
     """
     ts = np.asarray(ts, dtype=float)
+    steps = [2**k for k in range(len(ts)) if 2 ** (k + 1) < len(ts)]
 
-    def e_arrays(g):
+    def integral(g):
         Q0 = body.q_stack(g)
         lam0 = body.q_eigs(g)
-        Qp = _phi_q_stack(phi, g)
+        Qp = g.q_stack(phi)
         base = elem_sym_from_eigs(lam0, i)
         rows = np.empty((len(ts), len(g.nodes)))
         for k, t in enumerate(ts):  # one t per pass keeps the pencil memory flat
             lam = np.linalg.eigvalsh(Q0 + (t * s) * Qp)
             rows[k] = elem_sym_from_eigs(lam, i) - base
-        fw = f.value(g.nodes) * g.weights
-        delta = rows @ fw
-        d2 = {}
-        step = 1
-        while 2 * step < len(ts):
-            d2[step] = (rows[2 * step:] - 2.0 * rows[step:-step] + rows[:-2 * step]) @ fw
-            step *= 2
-        return delta, d2
+        fv = f.value(g.nodes)
+        sums = [g.weighted_sum(rows, fv)]
+        for h in steps:  # one block of second differences at a time
+            sums.append(g.weighted_sum(rows[2 * h :] - 2.0 * rows[h:-h] + rows[: -2 * h], fv))
+        return np.concatenate(sums)
 
-    delta_f, d2_f = e_arrays(grid)
-    delta_c, d2_c = e_arrays(grid.coarse())
-    d2_est = {k: np.abs(d2_f[k] - d2_c[k]) for k in d2_f}
-    return delta_f, np.abs(delta_f - delta_c), d2_f, d2_est
-
-
-def _phi_q_stack(phi, grid):
-    cache = getattr(phi, "_q_stack_cache", None)
-    if cache is None:
-        cache = phi._q_stack_cache = {}
-    key = grid.grid_id
-    if key not in cache:
-        from .sphere import q_batch
-
-        cache[key] = q_batch(phi, grid.nodes, grid.frames())
-    return cache[key]
-
-
-def _paired(grid, node_vals):
-    vf = np.asarray(node_vals(grid), dtype=float)
-    fine = float(grid.weights @ vf)
-    cg = grid.coarse()
-    coarse = float(cg.weights @ np.asarray(node_vals(cg), dtype=float))
-    return fine, abs(fine - coarse)
+    split = np.cumsum([len(ts)] + [len(ts) - 2 * h for h in steps[:-1]])
+    value, est = (np.split(a, split) for a in grid.paired(integral))
+    return value[0], est[0], dict(zip(steps, value[1:])), dict(zip(steps, est[1:]))
 
 
 def _refine_breaks(breaks, width, max_panel):
@@ -947,10 +880,7 @@ def bm_violation_hunt(
 
                 dF, edF = first_variation(f, K, phi, i, patch, form="adjoint")
                 d2F, ed2F = second_variation(f, K, phi, i, patch, form="gradient")
-                c = (i - 1.0) / i
-                value = F * d2F - c * dF * dF
-                vtol = 5.0 * (abs(estF * d2F) + abs(F) * ed2F + 2.0 * c * abs(dF) * edF)
-                vtol += 1e-9 * (1.0 + abs(F) * abs(d2F) + c * dF * dF)
+                value, vtol = power_concavity(i, F, estF, dF, edF, d2F, ed2F)
                 row = {
                     "stage": "criterion",
                     "delta_reg": delta_reg,
@@ -967,7 +897,7 @@ def bm_violation_hunt(
                     continue
 
                 # confirm: sampled i-th root bends upward along K -> K + s*phi
-                s_max = min(_largest_certified_strength(K, phi, patch), 1.0)
+                s_max = min(largest_certified_strength(K, phi, patch), 1.0)
                 if s_max <= 0:
                     diagnostics.append(
                         {"stage": "certify", "delta_reg": delta_reg, "rho": rho, "eps": eps}
@@ -1029,30 +959,6 @@ def bm_violation_hunt(
     return HuntReport(found=False, order=int(i), u_star=u_star, diagnostics=diagnostics)
 
 
-def _largest_certified_strength(body, phi, grid, margin=1e-6):
-    """Largest s with Q_h + s Q_phi >= margin at all grid nodes.
-
-    Nodewise the minimum eigenvalue is concave in s, so certifying the
-    endpoint certifies the segment [0, s]; and the endpoint is available in
-    closed form: with B = Q_h - margin I positive definite, the constraint
-    B + s Q_phi >= 0 is a congruence away from I + s C >= 0 with
-    C = B^{-1/2} Q_phi B^{-1/2}, so the node's threshold is
-    1 / |most negative eigenvalue of C| — no search loop needed.
-    """
-    Qh = body.q_stack(grid)
-    Qp = _phi_q_stack(phi, grid)
-    w, V = np.linalg.eigh(Qh)
-    if float(np.min(w)) <= margin:
-        return 0.0
-    inv_sqrt = np.einsum("mab,mb,mcb->mac", V, 1.0 / np.sqrt(w - margin), V)
-    C = np.einsum("mab,mbc,mcd->mad", inv_sqrt, Qp, inv_sqrt)
-    lam = np.linalg.eigvalsh(C)[:, 0]
-    worst = float(np.min(lam))
-    if worst >= 0.0:
-        return math.inf
-    return 1.0 / (-worst)
-
-
 # -- round trip over the corpus ---------------------------------------------------
 
 
@@ -1104,7 +1010,7 @@ def theorem_roundtrip(
             elif rep.worst_value < -10.0 * tol:
                 try:
                     cex = monotonicity_counterexample(
-                        entry.f, i, grid, **counterexample_kwargs
+                        entry.f, i, grid, scan=scan, **counterexample_kwargs
                     )
                     row["counterexample"] = True
                     row["drop"] = cex.drop

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 from .sphere import q_batch
 from .symfun import (
     contract2_batch,
@@ -49,27 +49,6 @@ def _check_order(n, i):
         raise DomainError(f"order must satisfy 1 <= i <= {n - 1}, got {i}")
 
 
-def _finite(vals, what):
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"non-finite values in {what}")
-    return vals
-
-
-def _paired_integral(grid, node_vals):
-    """Integrate per-node values given on the fine and coarse grid.
-
-    node_vals(g) must return one value per node of g.  Returns
-    (fine value, |fine - coarse|) — the standard self-calibrating estimate;
-    assert against ~5x the estimate plus a small absolute floor.
-    """
-    vf = _finite(np.asarray(node_vals(grid), dtype=float), "integrand")
-    fine = float(grid.weights @ vf)
-    cg = grid.coarse()
-    vc = _finite(np.asarray(node_vals(cg), dtype=float), "integrand (coarse)")
-    coarse = float(cg.weights @ vc)
-    return fine, abs(fine - coarse)
-
-
 def area_density(body, i, grid):
     """Per-node order-i curvature density elem_sym(Q(h,u), i) on the grid."""
     _check_order(body.n, i)
@@ -82,10 +61,10 @@ def functional_value(f, body, i, grid):
         raise DomainError("weight function and body live in different dimensions")
     _check_order(body.n, i)
 
-    def vals(g):
-        return f.value(g.nodes) * elem_sym_from_eigs(body.q_eigs(g), i)
+    def integral(g):
+        return g.weighted_sum(f.value(g.nodes) * elem_sym_from_eigs(body.q_eigs(g), i))
 
-    return _paired_integral(grid, vals)
+    return grid.paired(integral)
 
 
 def functional_difference(f, body_k, body_l, i, grid):
@@ -102,12 +81,12 @@ def functional_difference(f, body_k, body_l, i, grid):
         raise DomainError("bodies and weight must share one dimension")
     _check_order(body_k.n, i)
 
-    def vals(g):
+    def integral(g):
         dens_k = elem_sym_from_eigs(body_k.q_eigs(g), i)
         dens_l = elem_sym_from_eigs(body_l.q_eigs(g), i)
-        return f.value(g.nodes) * (dens_k - dens_l)
+        return g.weighted_sum(f.value(g.nodes) * (dens_k - dens_l))
 
-    return _paired_integral(grid, vals)
+    return grid.paired(integral)
 
 
 def functional_segment(f, body_k, body_l, i, ts, grid):
@@ -124,12 +103,12 @@ def functional_segment(f, body_k, body_l, i, ts, grid):
     out = np.empty(len(ts))
     est = np.empty(len(ts))
     for k, t in enumerate(ts):
-        def vals(g, t=t):
+        def integral(g, t=t):
             Q = (1.0 - t) * body_k.q_stack(g) + t * body_l.q_stack(g)
             lam = np.linalg.eigvalsh(Q)
-            return f.value(g.nodes) * elem_sym_from_eigs(lam, i)
+            return g.weighted_sum(f.value(g.nodes) * elem_sym_from_eigs(lam, i))
 
-        out[k], est[k] = _paired_integral(grid, vals)
+        out[k], est[k] = grid.paired(integral)
     return out, est
 
 
@@ -148,11 +127,11 @@ def mixed_area_integral(f, bodies, grid):
     if len(bodies) != n - 1:
         raise DomainError(f"mixed integral needs exactly {n - 1} bodies, got {len(bodies)}")
 
-    def vals(g):
+    def integral(g):
         stacks = [b.q_stack(g) for b in bodies]
-        return f.value(g.nodes) * mixed_discriminant_batch(stacks)
+        return g.weighted_sum(f.value(g.nodes) * mixed_discriminant_batch(stacks))
 
-    return _paired_integral(grid, vals)
+    return grid.paired(integral)
 
 
 def mixed_functional(f, body, i, companions, grid):
@@ -179,11 +158,11 @@ def mixed_volume_smooth(bodies, grid):
     if any(b.n != n for b in bodies):
         raise DomainError("mixed volume: dimension mismatch")
 
-    def vals(g):
+    def integral(g):
         stacks = [b.q_stack(g) for b in bodies[1:]]
-        return bodies[0].support(g.nodes) * mixed_discriminant_batch(stacks)
+        return g.weighted_sum(bodies[0].support(g.nodes) * mixed_discriminant_batch(stacks))
 
-    v, e = _paired_integral(grid, vals)
+    v, e = grid.paired(integral)
     return v / n, e / n
 
 
@@ -215,12 +194,12 @@ def first_variation(f, body, phi, i, grid, form="direct"):
         raise DomainError(f"unknown first-variation form {form!r}")
     a, b = (f, phi) if form == "direct" else (phi, f)
 
-    def vals(g):
+    def integral(g):
         cof = cofactor_batch(body.q_stack(g), i)
         Qb = q_batch(b, g.nodes, g.frames())
-        return a.value(g.nodes) * np.einsum("mjk,mjk->m", cof, Qb)
+        return g.weighted_sum(a.value(g.nodes) * np.einsum("mjk,mjk->m", cof, Qb))
 
-    return _paired_integral(grid, vals)
+    return grid.paired(integral)
 
 
 def second_variation(f, body, phi, i, grid, form="quadratic"):
@@ -263,7 +242,7 @@ def second_variation(f, body, phi, i, grid, form="quadratic"):
 
     else:
         raise DomainError(f"unknown second-variation form {form!r}")
-    return _paired_integral(grid, vals)
+    return grid.paired(lambda g: g.weighted_sum(vals(g)))
 
 
 # -- Brunn-Minkowski-type second-order criterion ------------------------------
@@ -295,19 +274,26 @@ class ConcavityReport:
         return self.value > self.tolerance
 
 
-def concavity_criterion(f, body, phi, i, grid, form="quadratic"):
-    """Assemble the power-concavity second-order criterion with tolerances.
+def power_concavity(i, F, eF, dF, edF, d2F, ed2F):
+    """Criterion F F'' - ((i-1)/i) F'^2 and its tolerance, from F and its
+    first two derivatives along the family, each with its quadrature estimate.
 
     Error propagation: first-order in each quadrature estimate, inflated 5x
     (the usual doubling-estimate safety factor) plus a relative floor.
     """
-    F, eF = functional_value(f, body, i, grid)
-    dF, edF = first_variation(f, body, phi, i, grid)
-    d2F, ed2F = second_variation(f, body, phi, i, grid, form=form)
     c = (i - 1.0) / i
     value = F * d2F - c * dF * dF
     tol = 5.0 * (abs(eF * d2F) + abs(F) * ed2F + 2.0 * c * abs(dF) * edF)
     tol += 1e-9 * (1.0 + abs(F) * abs(d2F) + c * dF * dF)
+    return value, tol
+
+
+def concavity_criterion(f, body, phi, i, grid, form="quadratic"):
+    """Assemble the power-concavity second-order criterion with tolerances."""
+    F, eF = functional_value(f, body, i, grid)
+    dF, edF = first_variation(f, body, phi, i, grid)
+    d2F, ed2F = second_variation(f, body, phi, i, grid, form=form)
+    value, tol = power_concavity(i, F, eF, dF, edF, d2F, ed2F)
     return ConcavityReport(
         value=float(value),
         functional=float(F),

@@ -20,10 +20,10 @@ curvature-measure densities used throughout the package.
 
 from __future__ import annotations
 
-import csv
 import math
-import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -501,14 +501,19 @@ def q_batch(f, U, frame_stack=None):
 # -- quadrature grids --------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class QuadratureGrid:
     """Nodes and positive weights for integration over S^{n-1}.
 
     Weights sum to the total sphere area (exactly by construction for the
-    equal-weight families).  ``coarse()`` returns the half-resolution grid of
-    the same family; integrate() reports |fine - coarse| as its error
-    estimate, and callers conventionally assert against 5x that estimate.
+    equal-weight families).  Each constructor hands the grid its
+    half-resolution rule; ``coarse()`` builds it once, and ``paired()``
+    reports |fine - coarse| as its error estimate, which callers
+    conventionally assert against 5x.
+
+    Grids hash by identity.  Hessian-form stacks are cached on the grid,
+    weakly keyed by the function, so an entry is freed with either of them;
+    ``grid_id`` is a label for reports and never a cache key.
     """
 
     n: int
@@ -516,9 +521,11 @@ class QuadratureGrid:
     weights: np.ndarray
     kind: str
     seed: int = 0
-    resolution: int = 0
-    _frames: np.ndarray | None = field(default=None, repr=False)
-    _coarse: "QuadratureGrid | None" = field(default=None, repr=False)
+    coarse_rule: Callable[[], QuadratureGrid] | None = field(default=None, repr=False)
+    _frames: np.ndarray | None = field(default=None, init=False, repr=False)
+    _coarse: QuadratureGrid | None = field(default=None, init=False, repr=False)
+    _q: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
+    _eigs: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     @property
     def grid_id(self):
@@ -533,54 +540,52 @@ class QuadratureGrid:
         return self._frames
 
     def coarse(self):
+        """The half-resolution grid of the same family, built on first use."""
         if self._coarse is None:
-            self._coarse = _coarse_grid(self)
+            cg = None if self.coarse_rule is None else self.coarse_rule()
+            if cg is None or len(cg) >= len(self):
+                raise DomainError(f"grid {self.grid_id} has no smaller half-resolution rule")
+            self._coarse = cg
         return self._coarse
 
-    def integrate(self, fn):
-        """Integrate a vectorised node function; returns (value, error_estimate)."""
-        vals = np.asarray(fn(self.nodes), dtype=float)
-        if vals.shape != (len(self.nodes),):
-            raise DomainError("integrand must return one value per node")
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.argmax(~np.isfinite(vals)))
-            raise EvaluationError(
-                f"integrand not finite at node {bad}: u={self.nodes[bad]}"
-            )
-        value = float(self.weights @ vals)
-        cg = self.coarse()
-        cvals = np.asarray(fn(cg.nodes), dtype=float)
-        if not np.all(np.isfinite(cvals)):
-            bad = int(np.argmax(~np.isfinite(cvals)))
-            raise EvaluationError(
-                f"integrand not finite at coarse node {bad}: u={cg.nodes[bad]}"
-            )
-        cvalue = float(cg.weights @ cvals)
-        return value, abs(value - cvalue)
+    def q_stack(self, f):
+        """q_batch of f at every node, (m, n-1, n-1); cached per function."""
+        Q = self._q.get(f)
+        if Q is None:
+            Q = self._q[f] = q_batch(f, self.nodes, self.frames())
+        return Q
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"x{k+1}" for k in range(self.n)] + ["weight"])
-            for node, wt in zip(self.nodes, self.weights):
-                w.writerow([repr(float(x)) for x in node] + [repr(float(wt))])
+    def q_eigs(self, f, stack=None):
+        """Ascending eigenvalues of the forms of f, (m, n-1), cached per function;
+        on a miss the forms come from stack() if given, else from q_stack(f)."""
+        lam = self._eigs.get(f)
+        if lam is None:
+            Q = self.q_stack(f) if stack is None else stack()
+            lam = self._eigs[f] = np.linalg.eigvalsh(Q)
+        return lam
 
-    @staticmethod
-    def from_csv(path, kind="csv", seed=0):
-        rows = []
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            for row in r:
-                rows.append([float(x) for x in row])
-        arr = np.asarray(rows)
-        n = len(header) - 1
-        return QuadratureGrid(n, arr[:, :n], arr[:, n], kind, seed, len(arr))
+    def weighted_sum(self, vals, factor=None):
+        """Quadrature sum over the node axis (the last) of per-node values.
 
+        factor, one value per node, multiplies the weights.  Raises
+        EvaluationError naming the first node where vals is not finite.
+        """
+        vals = np.asarray(vals, dtype=float)
+        m = len(self.nodes)
+        if vals.shape[-1:] != (m,):
+            raise DomainError("integrand must give one value per node")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            bad = int(np.argmin(finite.reshape(-1, m).all(axis=0)))
+            raise EvaluationError(f"integrand not finite at node {bad}: u={self.nodes[bad]}")
+        out = vals @ (self.weights if factor is None else factor * self.weights)
+        return float(out) if out.ndim == 0 else out
 
-def integrate(fn, grid):
-    """Module-level convenience for grid.integrate(fn)."""
-    return grid.integrate(fn)
+    def paired(self, integral):
+        """(I(grid), |I(grid) - I(coarse)|) for integral(g), a scalar or array:
+        the self-calibrating error estimate, asserted against at ~5x."""
+        fine = integral(self)
+        return fine, abs(fine - integral(self.coarse()))
 
 
 def _spiral_nodes(m):
@@ -605,17 +610,38 @@ def make_grid(n, resolution, seed=0):
     m = int(resolution)
     if m < 2:
         raise DomainError("make_grid: resolution must be >= 2")
-    area = sphere_area(n)
     if n == 2:
         th = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         nodes = np.stack([np.cos(th), np.sin(th)], axis=1)
-        return QuadratureGrid(2, nodes, np.full(m, area / m), "circle", seed, m)
-    if n == 3:
-        return QuadratureGrid(3, _spiral_nodes(m), np.full(m, area / m), "spiral", seed, m)
-    rng = np.random.default_rng(seed)
-    nodes = rng.normal(size=(m, n))
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    return QuadratureGrid(n, nodes, np.full(m, area / m), "mc", seed, m)
+    elif n == 3:
+        nodes = _spiral_nodes(m)
+    else:
+        rng = np.random.default_rng(seed)
+        nodes = rng.normal(size=(m, n))
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        return _mc_grid(nodes, seed)
+    return QuadratureGrid(
+        n,
+        nodes,
+        np.full(m, sphere_area(n) / m),
+        "circle" if n == 2 else "spiral",
+        seed,
+        lambda: make_grid(n, max(2, m // 2), seed),
+    )
+
+
+def _mc_grid(nodes, seed):
+    # equal weights on a random sample; the half-resolution rule keeps the
+    # first half of the sample
+    m, n = nodes.shape
+    return QuadratureGrid(
+        n,
+        nodes,
+        np.full(m, sphere_area(n) / m),
+        "mc",
+        seed,
+        lambda: _mc_grid(nodes[: max(2, m // 2)], seed),
+    )
 
 
 def latitude_grid(nz, naz):
@@ -624,10 +650,11 @@ def latitude_grid(nz, naz):
     Much better than the spiral for integrands with polar caps or equatorial
     bands (degenerating-body densities); deterministic.
     """
+    nz, naz = int(nz), int(naz)
     if nz < 2 or naz < 2:
         raise DomainError("latitude_grid: need nz, naz >= 2")
-    z, wz = np.polynomial.legendre.leggauss(int(nz))
-    th = 2.0 * math.pi * (np.arange(int(naz)) + 0.5) / int(naz)
+    z, wz = np.polynomial.legendre.leggauss(nz)
+    th = 2.0 * math.pi * (np.arange(naz) + 0.5) / naz
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     nodes = np.empty((nz * naz, 3))
     weights = np.empty(nz * naz)
@@ -637,41 +664,9 @@ def latitude_grid(nz, naz):
         nodes[sl, 1] = r[jz] * np.sin(th)
         nodes[sl, 2] = z[jz]
         weights[sl] = wz[jz] * (2.0 * math.pi / naz)
-    g = QuadratureGrid(3, nodes, weights, "latitude", 0, nz)
-    g.resolution = nz
-    g._lat_shape = (int(nz), int(naz))
-    return g
-
-
-def patch_grid(u0, frame, rho, counts):
-    """Midpoint tensor grid over a graph patch around u0.
-
-    Points are u = sum_a x_a E_a + sqrt(1-|x|^2) u0 for x in the cube
-    [-rho, rho]^{n-1}; the weight carries the graph area element
-    dx / sqrt(1-|x|^2).  Weights sum to the patch area, *not* the sphere
-    area — this grid exists for integrands supported inside the patch.
-    """
-    u0 = np.asarray(u0, dtype=float)
-    E = np.asarray(frame, dtype=float)
-    n = u0.shape[0]
-    d = n - 1
-    counts = [int(c) for c in (counts if np.iterable(counts) else [counts] * d)]
-    if len(counts) != d:
-        raise DomainError(f"patch_grid: need {d} axis counts")
-    if rho <= 0 or rho * math.sqrt(d) >= 1.0:
-        raise DomainError("patch_grid: need 0 < rho < 1/sqrt(n-1)")
-    axes = [(-rho + (2.0 * rho) * (np.arange(c) + 0.5) / c) for c in counts]
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    cell = np.prod([2.0 * rho / c for c in counts])
-    h = np.sqrt(1.0 - np.einsum("ma,ma->m", X, X))
-    nodes = X @ E.T + h[:, None] * u0[None, :]
-    weights = cell / h
-    # distinct patches with equal node counts must not share a grid_id (body
-    # caches key on it), so fold the placement into the seed slot
-    salt = zlib.crc32(u0.tobytes() + E.tobytes() + repr((round(rho, 12), counts)).encode())
-    g = QuadratureGrid(n, nodes, weights, "patch", int(salt), counts[0])
-    g._patch_args = (u0, E, rho, counts)
-    return g
+    return QuadratureGrid(
+        3, nodes, weights, "latitude", 0, lambda: latitude_grid(max(2, nz // 2), max(2, naz // 2))
+    )
 
 
 def cap_grid(u0, theta_max, radial, transverse, seed=0):
@@ -687,7 +682,7 @@ def cap_grid(u0, theta_max, radial, transverse, seed=0):
 
     Weights sum to the cap area, not the sphere area: the grid exists for
     integrands that are (effectively) supported inside the cap.  theta_max
-    may be anything up to pi, unlike the graph-chart patch_grid.
+    may be anything up to pi, unlike the graph-chart panel_grid.
     """
     u0 = np.asarray(u0, dtype=float)
     n = u0.shape[0]
@@ -712,12 +707,14 @@ def cap_grid(u0, theta_max, radial, transverse, seed=0):
         + np.sin(theta)[:, None, None] * omega[None, :, :]
     ).reshape(-1, n)
     weights = (w_theta[:, None] * tg.weights[None, :]).reshape(-1)
-    salt = zlib.crc32(
-        u0.tobytes() + repr((round(theta_max, 12), radial, transverse, seed)).encode()
+    return QuadratureGrid(
+        n,
+        nodes,
+        weights,
+        "cap",
+        seed,
+        lambda: cap_grid(u0, theta_max, max(2, radial // 2), max(2, transverse // 2), seed),
     )
-    g = QuadratureGrid(n, nodes, weights, "cap", int(salt), radial)
-    g._cap_args = (u0, theta_max, radial, transverse, seed)
-    return g
 
 
 def _composite_gauss_axis(breaks, order):
@@ -743,9 +740,12 @@ def panel_grid(u0, frame, breaks, order=6):
     piece, so the quadrature error comes only from the slowly varying
     geometric factors.  For oscillations built from piecewise-polynomial
     profiles this beats a uniform midpoint grid of equal size by orders of
-    magnitude — the regime this grid exists for.  As with patch_grid, the
-    chart and weights are the graph area element and the weights sum to the
-    patch area, so integrands must be supported inside the patch.
+    magnitude — the regime this grid exists for.  Points are
+    u = sum_a x_a E_a + sqrt(1-|x|^2) u0; the weights carry the graph area
+    element and sum to the patch area, so integrands must be supported inside
+    the patch.  Order 1 on uniform breakpoints is the midpoint rule.  The
+    half-resolution rule drops one Gauss order, whose error then dominates
+    the pair and serves as the estimate, as in nested Gauss practice.
     """
     u0 = np.asarray(u0, dtype=float)
     E = np.asarray(frame, dtype=float)
@@ -756,10 +756,10 @@ def panel_grid(u0, frame, breaks, order=6):
     order = int(order)
     if order < 1:
         raise DomainError("panel_grid: need order >= 1")
+    breaks = [np.unique(np.asarray(br, dtype=float)) for br in breaks]
     axes = []
     radius2 = 0.0
     for br in breaks:
-        br = np.unique(np.asarray(br, dtype=float))
         if len(br) < 2:
             raise DomainError("panel_grid: each axis needs >= 2 breakpoints")
         radius2 += max(abs(br[0]), abs(br[-1])) ** 2
@@ -771,36 +771,6 @@ def panel_grid(u0, frame, breaks, order=6):
     h = np.sqrt(1.0 - np.einsum("ma,ma->m", X, X))
     nodes = X @ E.T + h[:, None] * u0[None, :]
     weights = np.prod(W, axis=1) / h
-    frozen = tuple(tuple(np.unique(np.asarray(br, dtype=float)).tolist()) for br in breaks)
-    salt = zlib.crc32(u0.tobytes() + E.tobytes() + repr((frozen, order)).encode())
-    g = QuadratureGrid(n, nodes, weights, "panel", int(salt), order)
-    g._panel_args = (u0, E, frozen, order)
-    return g
-
-
-def _coarse_grid(grid):
-    if grid.kind == "spiral":
-        return make_grid(3, max(2, len(grid) // 2), grid.seed)
-    if grid.kind == "circle":
-        return make_grid(2, max(2, len(grid) // 2), grid.seed)
-    if grid.kind == "mc":
-        m = max(2, len(grid) // 2)
-        nodes = grid.nodes[:m]
-        area = sphere_area(grid.n)
-        return QuadratureGrid(grid.n, nodes, np.full(m, area / m), "mc", grid.seed, m)
-    if grid.kind == "latitude":
-        nz, naz = grid._lat_shape
-        return latitude_grid(max(2, nz // 2), max(2, naz // 2))
-    if grid.kind == "patch":
-        u0, E, rho, counts = grid._patch_args
-        return patch_grid(u0, E, rho, [max(2, c // 2) for c in counts])
-    if grid.kind == "cap":
-        u0, theta_max, radial, transverse, seed = grid._cap_args
-        return cap_grid(u0, theta_max, max(2, radial // 2), max(2, transverse // 2), seed)
-    if grid.kind == "panel":
-        # spectral rule: drop one Gauss order rather than halving it — the
-        # lower rule's error dominates the pair and serves as the estimate,
-        # as in nested Gauss practice
-        u0, E, breaks, order = grid._panel_args
-        return panel_grid(u0, E, [np.asarray(b) for b in breaks], max(1, order - 1))
-    raise DomainError(f"no half-resolution rule for grid kind {grid.kind!r}")
+    return QuadratureGrid(
+        n, nodes, weights, "panel", 0, lambda: panel_grid(u0, E, breaks, max(1, order - 1))
+    )

@@ -7,16 +7,14 @@ import pytest
 
 from areafun import sphere
 from areafun.bodies import (
-    PerturbationFamily,
     ball,
     certify_c2plus,
     combine,
     ellipsoid,
     from_form,
+    largest_certified_strength,
     perturb,
-    perturbation_family,
     realize_q,
-    require_c2plus,
 )
 from areafun.errors import ConstructionError, DomainError
 from areafun.sphere import make_grid
@@ -96,8 +94,6 @@ class TestCertification:
         cert = certify_c2plus(K, grid3)
         assert not cert.ok
         assert cert.min_eig < -0.5
-        with pytest.raises(ConstructionError):
-            require_c2plus(K, grid3)
 
     def test_q_cache_reused(self, grid3):
         K = ellipsoid([1.0, 2.0, 3.0])
@@ -139,36 +135,35 @@ class TestRealizeQ:
 
 
 class TestPerturbationFamily:
+    """Closed-form certified strength of the family s -> h + s*phi."""
+
     def test_ball_linear_bound(self, grid3):
         # perturbing the unit ball: Q(h + s phi) = I + s Q(phi); the exact
-        # frontier is (1 - margin)/max_spectral(Q_phi) when Q_phi has a
-        # negative eigenvalue in both directions
+        # frontier is (1 - margin)/max_spectral(Q_phi) in each direction
         phi = sphere.polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0}, label="saddle")
         margin = 1e-6
-        fam = perturbation_family(ball(3), phi, grid3, margin=margin, rel_tol=1e-7)
         eigs = np.linalg.eigvalsh(sphere.q_batch(phi, grid3.nodes, grid3.frames()))
         # level(s) = 1 + s * min_node_eig for s > 0, 1 - |s| * max_node_eig for s < 0
         m_neg = -float(np.min(eigs))
         m_pos = float(np.max(eigs))
-        assert fam.eps_plus == pytest.approx((1.0 - margin) / m_neg, rel=1e-5)
-        assert fam.eps_minus == pytest.approx((1.0 - margin) / m_pos, rel=1e-5)
-        # conservative spectral-norm bound is always respected
-        m = float(np.max(np.abs(eigs)))
-        assert fam.eps_max >= (1.0 - margin) / m * (1.0 - 1e-5)
+        minus_phi = sphere.combination([-1.0], [phi])
+        s_plus = largest_certified_strength(ball(3), phi, grid3, margin=margin)
+        s_minus = largest_certified_strength(ball(3), minus_phi, grid3, margin=margin)
+        assert s_plus == pytest.approx((1.0 - margin) / m_neg, rel=1e-12)
+        assert s_minus == pytest.approx((1.0 - margin) / m_pos, rel=1e-12)
 
     def test_support_direction_is_unbounded(self, grid3):
         # adding a multiple of another support function never destroys convexity
-        fam = perturbation_family(ball(3), sphere.constant(3, 1.0), grid3)
-        assert fam.eps_plus == math.inf
-        assert 0.9 < fam.eps_minus < 1.0
+        one = sphere.constant(3, 1.0)
+        assert largest_certified_strength(ball(3), one, grid3) == math.inf
+        minus_one = sphere.constant(3, -1.0)
+        assert 0.9 < largest_certified_strength(ball(3), minus_one, grid3) < 1.0
 
     def test_family_members_certify(self, grid3):
         phi = sphere.polynomial(3, {(2, 0, 0): 1.0, (0, 0, 2): -0.5}, label="p")
-        fam = perturbation_family(ball(3), phi, grid3)
-        K = fam.at(0.5 * fam.eps_plus)
-        assert certify_c2plus(K, grid3).ok
-        with pytest.raises(DomainError):
-            fam.at(2.0 * fam.eps_plus)
+        s_max = largest_certified_strength(ball(3), phi, grid3)
+        assert certify_c2plus(perturb(ball(3), phi, 0.999 * s_max), grid3).ok
+        assert not certify_c2plus(perturb(ball(3), phi, 1.01 * s_max), grid3).ok
 
     def test_rejects_nonconvex_base(self, grid3):
         from areafun.bodies import SupportBody
@@ -176,5 +171,4 @@ class TestPerturbationFamily:
         bad = SupportBody(
             sphere.polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 2.0, (0, 2, 0): -2.0})
         )
-        with pytest.raises(ConstructionError):
-            perturbation_family(bad, sphere.constant(3, 1.0), grid3)
+        assert largest_certified_strength(bad, sphere.constant(3, 1.0), grid3) == 0.0

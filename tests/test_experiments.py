@@ -1,13 +1,14 @@
 """Corpus, nested-pair monotonicity, constructive counterexamples, and the
 second-order violation hunt."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from areafun.bodies import ball, ellipsoid
-from areafun.conditions import check_mi, default_tolerance
+from areafun.conditions import EigenSumScan, check_mi
 from areafun.errors import DomainError, SearchError
 from areafun.experiments import (
     bm_second_order_test,
@@ -19,13 +20,11 @@ from areafun.experiments import (
     monotonicity_counterexample,
     monotonicity_test,
     nested_pairs,
-    odd_extension,
     oscillating_phi,
     theorem_roundtrip,
-    violating_pairs,
 )
-from areafun.functionals import concavity_criterion, functional_value
-from areafun.sphere import constant, make_grid, q_batch
+from areafun.functionals import concavity_criterion
+from areafun.sphere import constant, make_grid, polynomial, q_batch, tangent_frame
 
 E3 = np.eye(3)
 
@@ -54,26 +53,6 @@ class TestCorpus:
             for i, want in orders.items():
                 rep = check_mi(f, i, grids[f.n])
                 assert rep.verdict == want, (label, i, rep.worst_value)
-
-    def test_violating_pairs_decisive_and_positive(self, entries, grids):
-        pairs = violating_pairs(entries, grids)
-        found = {(e.label, i) for e, i in pairs}
-        assert {
-            ("saddle3-0.42", 2),
-            ("saddle3-0.45", 2),
-            ("saddle3-0.48", 2),
-            ("saddle4-0.55", 2),
-            ("saddle4-0.55", 3),
-            ("saddle4-0.58", 2),
-            ("saddle4-0.58", 3),
-        } <= found
-        assert len(pairs) >= 5
-        for e, i in pairs:
-            rep = check_mi(e.f, i, grids[e.n])
-            assert rep.verdict == "violated"
-            assert rep.worst_value < -10.0 * default_tolerance(e.f)
-            val, _ = functional_value(e.f, ball(e.n), i, grids[e.n])
-            assert val > 0
 
 
 class TestNestedPairs:
@@ -135,6 +114,24 @@ class TestOscillation:
         # reach the 1/eps scale somewhere even though |phi| <= eps/2
         assert np.max(np.abs(Q)) > 1.0
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_frame_orthonormal_near_frame_axes(self, n):
+        # v within 1e-12 of a tangent-frame axis at u0: the frame must stay
+        # orthonormal and tangent, whichever axis v hugs
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            u0 = rng.normal(size=n)
+            u0 /= np.linalg.norm(u0)
+            E0 = tangent_frame(u0)
+            for j, sign, offset in itertools.product(range(n - 1), (1.0, -1.0), (0.0, 1e-12)):
+                v = sign * E0[:, j] + offset * (E0 @ rng.normal(size=n - 1))
+                v /= np.linalg.norm(v)
+                F = oscillating_phi(u0, v, 0.25, 0.05, n).frame
+                assert F.shape == (n, n - 1)
+                np.testing.assert_allclose(F.T @ F, np.eye(n - 1), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(u0 @ F, 0.0, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(F[:, 0], v, rtol=0, atol=1e-14)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             oscillating_phi(self.u0, self.u0, 0.3, 0.05, 3)  # not tangent
@@ -144,20 +141,6 @@ class TestOscillation:
             oscillating_phi(self.u0, self.v, 0.7, 0.05, 3)  # cutoff leaves hemisphere
         with pytest.raises(DomainError):
             oscillating_phi(2 * self.u0, self.v, 0.3, 0.05, 3)
-
-
-class TestOddExtension:
-    def test_exactly_odd_and_matches_upper(self):
-        phi = oscillating_phi(E3[2], E3[0], rho=0.3, eps=0.05, n=3, eta=0.2)
-        odd = odd_extension(phi, E3[2])
-        probe = make_grid(3, 3000).nodes
-        np.testing.assert_array_equal(odd.value(probe), -odd.value(-probe))
-        upper = probe[probe @ E3[2] > 0.31]
-        np.testing.assert_array_equal(odd.value(upper), phi.value(upper))
-
-    def test_rejects_equator_mass(self):
-        with pytest.raises(DomainError):
-            odd_extension(constant(3, 1.0), E3[2])
 
 
 class TestCounterexample:
@@ -173,6 +156,13 @@ class TestCounterexample:
         rep = monotonicity_counterexample(by_label["saddle4-0.55"].f, 3, grid4)
         assert rep.decisive
         assert check_nested(rep.body_inner, rep.body_outer, grid4) >= 0.0
+
+    def test_reuses_callers_scan(self, by_label, grid3):
+        f = by_label["saddle3-0.45"].f
+        a = monotonicity_counterexample(f, 2, grid3)
+        b = monotonicity_counterexample(f, 2, grid3, scan=EigenSumScan(f, grid3))
+        assert (a.drop, a.threshold, a.kappa, a.s) == (b.drop, b.threshold, b.kappa, b.s)
+        np.testing.assert_array_equal(a.u_star, b.u_star)
 
     def test_requires_decisive_violation(self, grid3):
         with pytest.raises(SearchError):
@@ -217,6 +207,13 @@ class TestViolationHunt:
         assert rep.criterion_value > rep.criterion_tol
         assert rep.segment_gap > 0
         assert rep.s > 0 and rep.body is not None and rep.phi is not None
+
+    def test_direction_near_frame_axis(self, grid3):
+        # at c = 0.39 the hunt direction lies nearly along a tangent-frame
+        # axis at the worst node, where the oscillation frame once lost rank
+        f = polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.39, (0, 2, 0): -0.39})
+        rep = bm_violation_hunt(f, 2, grid3)
+        assert rep.found and rep.confirmed
 
     def test_precondition_and_order_guard(self, grid3):
         with pytest.raises(SearchError):

@@ -8,7 +8,6 @@ import pytest
 import areafun.sphere as sp
 from areafun.errors import DomainError, EvaluationError
 from areafun.sphere import (
-    QuadratureGrid,
     SphericalFunction,
     bump,
     combination,
@@ -19,7 +18,6 @@ from areafun.sphere import (
     latitude_grid,
     linear,
     make_grid,
-    patch_grid,
     polynomial,
     q_batch,
     q_matrix,
@@ -29,6 +27,11 @@ from areafun.sphere import (
 )
 
 RNG = np.random.default_rng(7)
+
+
+def integrate(g, fn):
+    """Paired quadrature of a node function: (value, |fine - coarse|)."""
+    return g.paired(lambda h: h.weighted_sum(fn(h.nodes)))
 
 
 def rand_unit(n, m=1, rng=RNG):
@@ -243,19 +246,19 @@ class TestGrids:
 
     def test_circle_integrates_harmonics_exactly(self):
         g = make_grid(2, 64)
-        val, est = g.integrate(lambda U: 1.0 + U[:, 0] + U[:, 0] * U[:, 1])
+        val, est = integrate(g, lambda U: 1.0 + U[:, 0] + U[:, 0] * U[:, 1])
         assert val == pytest.approx(2 * math.pi, rel=1e-12)
 
     def test_spiral_integrates_quadratics(self):
         g = make_grid(3, 4096)
         # int x_1^2 over S^2 = 4 pi / 3
-        val, est = g.integrate(lambda U: U[:, 0] ** 2)
+        val, est = integrate(g, lambda U: U[:, 0] ** 2)
         assert abs(val - 4 * math.pi / 3) < 5 * est + 1e-9
         assert abs(val - 4 * math.pi / 3) < 2e-3
 
     def test_mc_integrates_with_estimate(self):
         g = make_grid(4, 200_000, seed=11)
-        val, est = g.integrate(lambda U: U[:, 0] ** 2)
+        val, est = integrate(g, lambda U: U[:, 0] ** 2)
         want = sphere_area(4) / 4
         assert abs(val - want) < 5 * est + 1e-9
 
@@ -263,7 +266,7 @@ class TestGrids:
         g = latitude_grid(48, 96)
         assert np.sum(g.weights) == pytest.approx(4 * math.pi, rel=1e-12)
         # sharp polar feature: exp(8(z-1)) has closed form on S^2
-        val, est = g.integrate(lambda U: np.exp(8.0 * (U[:, 2] - 1.0)))
+        val, est = integrate(g, lambda U: np.exp(8.0 * (U[:, 2] - 1.0)))
         want = 2 * math.pi * (1 - math.exp(-16.0)) / 8.0
         assert val == pytest.approx(want, rel=1e-9)
 
@@ -275,8 +278,8 @@ class TestGrids:
             out[3] = np.nan
             return out
 
-        with pytest.raises(EvaluationError):
-            g.integrate(bad)
+        with pytest.raises(EvaluationError, match="node 3"):
+            integrate(g, bad)
 
     def test_coarse_halves(self):
         g = make_grid(3, 1024)
@@ -285,18 +288,11 @@ class TestGrids:
         # MC coarse grid reuses the first half of the sample
         np.testing.assert_allclose(g2.coarse().nodes, g2.nodes[:500])
 
-    def test_csv_roundtrip(self, tmp_path):
-        g = make_grid(3, 128)
-        p = tmp_path / "grid.csv"
-        g.to_csv(p)
-        g2 = QuadratureGrid.from_csv(p)
-        np.testing.assert_allclose(g2.nodes, g.nodes, atol=0.0)
-        np.testing.assert_allclose(g2.weights, g.weights, atol=0.0)
-
     def test_patch_grid_local_area(self):
         u0 = np.array([0.0, 0.0, 1.0])
         E = tangent_frame(u0)
-        g = patch_grid(u0, E, 0.3, [40, 40])
+        # midpoint grid on the graph patch: order-1 panels on uniform breaks
+        g = sp.panel_grid(u0, E, [np.linspace(-0.3, 0.3, 41)] * 2, order=1)
         # graph-area of the patch: int dx / sqrt(1 - |x|^2) over the square
         val = float(np.sum(g.weights))
         # oracle by high-resolution midpoint rule
@@ -308,21 +304,21 @@ class TestGrids:
         np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-12)
 
     def test_patch_grid_integrates_bump(self):
-        # localized integrand: patch quadrature vs global spiral
+        # localized integrand: patch midpoint quadrature vs global spiral
         u0 = np.array([0.0, 0.0, 1.0])
         f = bump(3, u0, 40.0)
         E = tangent_frame(u0)
-        gp = patch_grid(u0, E, 0.45, [64, 64])
-        vp, ep = gp.integrate(lambda U: f.value(U))
+        gp = sp.panel_grid(u0, E, [np.linspace(-0.45, 0.45, 65)] * 2, order=1)
+        vp = gp.weighted_sum(f.value(gp.nodes))
         gs = make_grid(3, 120_000)
-        vs, es = gs.integrate(lambda U: f.value(U))
+        vs, es = integrate(gs, f.value)
         assert vp == pytest.approx(vs, rel=2e-3)
 
     def test_bad_resolution(self):
         with pytest.raises(DomainError):
             make_grid(3, 1)
         with pytest.raises(DomainError):
-            patch_grid(np.array([0.0, 0.0, 1.0]), np.eye(3)[:, :2], 0.9, [4, 4])
+            make_grid(3, 2).coarse()  # halving cannot shrink it
 
     def test_cap_grid_area(self):
         u0 = np.array([0.0, 1.0, 0.0])
@@ -344,7 +340,7 @@ class TestGrids:
         f = bump(3, u0, kappa)
         theta = math.acos(1.0 - 15.0 / kappa)
         g = sp.cap_grid(u0, theta, 80, 96)
-        val, est = g.integrate(lambda U: f.value(U))
+        val, est = integrate(g, lambda U: f.value(U))
         want = math.pi / kappa * (1 - math.exp(-4 * kappa))
         assert val == pytest.approx(want, rel=1e-9)
         assert abs(val - want) <= 5 * est + 1e-12
@@ -366,7 +362,7 @@ class TestGrids:
         E = tangent_frame(u0)
         breaks = np.linspace(-0.3, 0.3, 7)
         g = sp.panel_grid(u0, E, [breaks, breaks], order=6)
-        ref = patch_grid(u0, E, 0.3, [400, 400])
+        ref = sp.panel_grid(u0, E, [np.linspace(-0.3, 0.3, 401)] * 2, order=1)
         assert float(np.sum(g.weights)) == pytest.approx(float(np.sum(ref.weights)), rel=1e-6)
         np.testing.assert_allclose(np.linalg.norm(g.nodes, axis=1), 1.0, atol=1e-12)
 
@@ -385,11 +381,12 @@ class TestGrids:
         kinks = np.arange(-0.3, 0.3001, 0.05)
         g6 = sp.panel_grid(u0, E, [kinks, np.linspace(-0.3, 0.3, 7)], order=6)
         g8 = sp.panel_grid(u0, E, [kinks, np.linspace(-0.3, 0.3, 7)], order=8)
-        v6, _ = g6.integrate(washboard)
-        v8, _ = g8.integrate(washboard)
+        v6, _ = integrate(g6, washboard)
+        v8, _ = integrate(g8, washboard)
         assert abs(v6 - v8) < 1e-12
-        mid = patch_grid(u0, E, 0.3, [72, 7])  # same node count, uniform cells
-        vm, _ = mid.integrate(washboard)
+        # same node count, uniform midpoint cells
+        mid = sp.panel_grid(u0, E, [np.linspace(-0.3, 0.3, 73), np.linspace(-0.3, 0.3, 8)], order=1)
+        vm = mid.weighted_sum(washboard(mid.nodes))
         assert abs(vm - v8) > 100 * abs(v6 - v8)
 
     def test_panel_grid_coarse_and_validation(self):
