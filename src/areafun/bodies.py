@@ -8,8 +8,9 @@ eigenvalues are the principal radii of curvature at the boundary point with
 outer normal u.
 
 Hessian-form stacks and their eigenvalues are cached on the grid, keyed by
-the support function, so repeated functional evaluations over the same grid
-cost one batched eigensolve.
+the support function.  Densities are polynomials in the stack (see
+areafun.symfun); the eigenvalues are computed only where the spectrum is the
+question, for curvature certification.
 """
 
 from __future__ import annotations
@@ -187,19 +188,17 @@ def largest_certified_strength(body, phi, grid, margin=1e-6):
 
     Nodewise the minimum eigenvalue is concave in s, so certifying the
     endpoint certifies the segment [0, s]; and the endpoint is available in
-    closed form: with B = Q_h - margin I positive definite, the constraint
-    B + s Q_phi >= 0 is a congruence away from I + s C >= 0 with
-    C = B^{-1/2} Q_phi B^{-1/2}, so the node's threshold is
+    closed form: with B = Q_h - margin I = L L^T positive definite (Cholesky),
+    the constraint B + s Q_phi >= 0 is a congruence away from I + s C >= 0
+    with C = L^{-1} Q_phi L^{-T}, so the node's threshold is
     1 / |most negative eigenvalue of C| — no search loop needed.  Returns 0
     when the body itself fails the margin and inf when no node limits s.
     """
-    Qh = body.q_stack(grid)
-    Qp = grid.q_stack(phi)
-    w, V = np.linalg.eigh(Qh)
-    if float(np.min(w)) <= margin:
+    if float(np.min(body.q_eigs(grid)[:, 0])) <= margin:
         return 0.0
-    inv_sqrt = np.einsum("mab,mb,mcb->mac", V, 1.0 / np.sqrt(w - margin), V)
-    C = np.einsum("mab,mbc,mcd->mad", inv_sqrt, Qp, inv_sqrt)
+    Qh = body.q_stack(grid)
+    L_inv = np.linalg.inv(np.linalg.cholesky(Qh - margin * np.eye(Qh.shape[-1])))
+    C = L_inv @ grid.q_stack(phi) @ L_inv.transpose(0, 2, 1)
     lam = np.linalg.eigvalsh(C)[:, 0]
     worst = float(np.min(lam))
     if worst >= 0.0:

@@ -202,10 +202,7 @@ def downward_closed(reports):
 
 def _diagonal_form_values(mu, i, lams):
     """g(lam) = sum_j mu_j e_{i-1}(lam with entry j removed), batched over rows."""
-    vals = np.empty(len(lams))
-    for k, lam in enumerate(lams):
-        vals[k] = float(mu @ deleted_elem_sym(np.asarray(lam, dtype=float), i - 1))
-    return vals
+    return deleted_elem_sym(lams, i - 1) @ mu
 
 
 def lemma_equiv_bruteforce(mu, i, trials=1000, seed=0):

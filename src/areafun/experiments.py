@@ -60,7 +60,7 @@ from .sphere import (
     sphere_area,
     tangent_frame,
 )
-from .symfun import contract2, elem_sym_from_eigs, trace_pair
+from .symfun import contract2, elem_sym_batch, trace_pair
 
 # -- localized oscillating perturbations ---------------------------------------
 
@@ -753,13 +753,11 @@ def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
 
     def integral(g):
         Q0 = body.q_stack(g)
-        lam0 = body.q_eigs(g)
         Qp = g.q_stack(phi)
-        base = elem_sym_from_eigs(lam0, i)
+        base = elem_sym_batch(Q0, i)
         rows = np.empty((len(ts), len(g.nodes)))
         for k, t in enumerate(ts):  # one t per pass keeps the pencil memory flat
-            lam = np.linalg.eigvalsh(Q0 + (t * s) * Qp)
-            rows[k] = elem_sym_from_eigs(lam, i) - base
+            rows[k] = elem_sym_batch(Q0 + (t * s) * Qp, i) - base
         fv = f.value(g.nodes)
         sums = [g.weighted_sum(rows, fv)]
         for h in steps:  # one block of second differences at a time

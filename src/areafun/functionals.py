@@ -29,12 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .sphere import q_batch
-from .symfun import (
-    contract2_batch,
-    cofactor_batch,
-    elem_sym_from_eigs,
-    mixed_discriminant_batch,
-)
+from .symfun import contract2_batch, cofactor_batch, elem_sym_batch, mixed_discriminant_batch
 
 
 def convention_factor(n, i):
@@ -52,7 +47,7 @@ def _check_order(n, i):
 def area_density(body, i, grid):
     """Per-node order-i curvature density elem_sym(Q(h,u), i) on the grid."""
     _check_order(body.n, i)
-    return elem_sym_from_eigs(body.q_eigs(grid), i)
+    return elem_sym_batch(body.q_stack(grid), i)
 
 
 def functional_value(f, body, i, grid):
@@ -62,7 +57,7 @@ def functional_value(f, body, i, grid):
     _check_order(body.n, i)
 
     def integral(g):
-        return g.weighted_sum(f.value(g.nodes) * elem_sym_from_eigs(body.q_eigs(g), i))
+        return g.weighted_sum(f.value(g.nodes) * elem_sym_batch(body.q_stack(g), i))
 
     return grid.paired(integral)
 
@@ -82,8 +77,8 @@ def functional_difference(f, body_k, body_l, i, grid):
     _check_order(body_k.n, i)
 
     def integral(g):
-        dens_k = elem_sym_from_eigs(body_k.q_eigs(g), i)
-        dens_l = elem_sym_from_eigs(body_l.q_eigs(g), i)
+        dens_k = elem_sym_batch(body_k.q_stack(g), i)
+        dens_l = elem_sym_batch(body_l.q_stack(g), i)
         return g.weighted_sum(f.value(g.nodes) * (dens_k - dens_l))
 
     return grid.paired(integral)
@@ -92,8 +87,8 @@ def functional_difference(f, body_k, body_l, i, grid):
 def functional_segment(f, body_k, body_l, i, ts, grid):
     """F along the Minkowski segment (1-t) K + t L for each t in ts.
 
-    The Hessian form is affine in the support function, so the segment costs
-    one batched eigendecomposition per t on cached endpoint stacks.
+    The Hessian form is affine in the support function, so each t costs one
+    elem_sym_batch of the blended cached endpoint stacks.
     Returns (values, error_estimates) as arrays over ts.
     """
     if body_k.n != body_l.n or f.n != body_k.n:
@@ -105,8 +100,7 @@ def functional_segment(f, body_k, body_l, i, ts, grid):
     for k, t in enumerate(ts):
         def integral(g, t=t):
             Q = (1.0 - t) * body_k.q_stack(g) + t * body_l.q_stack(g)
-            lam = np.linalg.eigvalsh(Q)
-            return g.weighted_sum(f.value(g.nodes) * elem_sym_from_eigs(lam, i))
+            return g.weighted_sum(f.value(g.nodes) * elem_sym_batch(Q, i))
 
         out[k], est[k] = grid.paired(integral)
     return out, est
@@ -179,16 +173,10 @@ def _tangential_gradient(f, grid):
     return np.einsum("mia,mi->ma", grid.frames(), G)
 
 
-def first_variation(f, body, phi, i, grid, form="direct"):
-    """d/ds F(h + s phi) at s = 0; returns (value, error_estimate).
-
-    form="direct":  int f * trace(cofactor(Q_h, i) Q_phi)
-    form="adjoint": int phi * trace(cofactor(Q_h, i) Q_f)
-
-    The two agree for C^2 data (divergence-free cofactor fields); "adjoint"
-    needs second derivatives of f instead of phi, which is the right trade
-    when phi is rough and f is smooth.
-    """
+def _first_variation_integral(f, body, phi, i, form):
+    """Per-grid integral g -> I(g) of the first variation in the given form;
+    first_variation pairs it over grid and coarse grid, and the exchange
+    check in areafun.identities telescopes it over two refinements."""
     _check_order(body.n, i)
     if form not in ("direct", "adjoint"):
         raise DomainError(f"unknown first-variation form {form!r}")
@@ -199,21 +187,12 @@ def first_variation(f, body, phi, i, grid, form="direct"):
         Qb = q_batch(b, g.nodes, g.frames())
         return g.weighted_sum(a.value(g.nodes) * np.einsum("mjk,mjk->m", cof, Qb))
 
-    return grid.paired(integral)
+    return integral
 
 
-def second_variation(f, body, phi, i, grid, form="quadratic"):
-    """d^2/ds^2 F(h + s phi) at s = 0; returns (value, error_estimate).
-
-    form="quadratic": int f * <T(Q_h, i) Q_phi, Q_phi>   (f weighted, phi twice)
-    form="adjoint":   int phi * <T(Q_h, i) Q_f, Q_phi>   (one phi slot swapped)
-    form="gradient":  int phi^2 trace(m) - <m grad phi, grad phi>,
-                      m = T(Q_h, i) Q_f
-
-    T is the second-derivative tensor of elem_sym(., i).  The gradient form
-    uses only first derivatives of phi — the variant of choice for highly
-    oscillatory perturbations whose Hessians are numerically poisonous.
-    """
+def _second_variation_integral(f, body, phi, i, form):
+    """Per-grid integral of the second variation in the given form, shared as
+    _first_variation_integral is."""
     _check_order(body.n, i)
     if form == "quadratic":
 
@@ -242,7 +221,35 @@ def second_variation(f, body, phi, i, grid, form="quadratic"):
 
     else:
         raise DomainError(f"unknown second-variation form {form!r}")
-    return grid.paired(lambda g: g.weighted_sum(vals(g)))
+    return lambda g: g.weighted_sum(vals(g))
+
+
+def first_variation(f, body, phi, i, grid, form="direct"):
+    """d/ds F(h + s phi) at s = 0; returns (value, error_estimate).
+
+    form="direct":  int f * trace(cofactor(Q_h, i) Q_phi)
+    form="adjoint": int phi * trace(cofactor(Q_h, i) Q_f)
+
+    The two agree for C^2 data (divergence-free cofactor fields); "adjoint"
+    needs second derivatives of f instead of phi, which is the right trade
+    when phi is rough and f is smooth.
+    """
+    return grid.paired(_first_variation_integral(f, body, phi, i, form))
+
+
+def second_variation(f, body, phi, i, grid, form="quadratic"):
+    """d^2/ds^2 F(h + s phi) at s = 0; returns (value, error_estimate).
+
+    form="quadratic": int f * <T(Q_h, i) Q_phi, Q_phi>   (f weighted, phi twice)
+    form="adjoint":   int phi * <T(Q_h, i) Q_f, Q_phi>   (one phi slot swapped)
+    form="gradient":  int phi^2 trace(m) - <m grad phi, grad phi>,
+                      m = T(Q_h, i) Q_f
+
+    T is the second-derivative tensor of elem_sym(., i).  The gradient form
+    uses only first derivatives of phi — the variant of choice for highly
+    oscillatory perturbations whose Hessians are numerically poisonous.
+    """
+    return grid.paired(_second_variation_integral(f, body, phi, i, form))
 
 
 # -- Brunn-Minkowski-type second-order criterion ------------------------------

@@ -117,23 +117,24 @@ class SphericalFunction:
             )
         return H[0] if single else H
 
-    def _ext_grad_analytic(self, X):
+    def _analytic_parts(self, X):
+        """r = |x|, y = x/r, grad phi(y) and c = phi(y) - <grad phi(y), y>."""
         r = np.linalg.norm(X, axis=1)
         Y = X / r[:, None]
         g = np.asarray(self._grad(Y), dtype=float)
-        c = np.asarray(self._phi(Y), dtype=float) - np.einsum("mi,mi->m", g, Y)
+        return r, Y, g, np.asarray(self._phi(Y), dtype=float) - np.sum(g * Y, axis=1)
+
+    def _ext_grad_analytic(self, X):
+        _, Y, g, c = self._analytic_parts(X)
         return g + c[:, None] * Y
 
     def _ext_hess_analytic(self, X):
         # chain rule for fbar(x) = r phi(y), y = x/r; the result annihilates
         # the radial direction and is (-1)-homogeneous in r by construction
-        r = np.linalg.norm(X, axis=1)
-        Y = X / r[:, None]
-        g = np.asarray(self._grad(Y), dtype=float)
+        r, Y, _, c = self._analytic_parts(X)
         H = np.asarray(self._hess(Y), dtype=float)
-        c = np.asarray(self._phi(Y), dtype=float) - np.einsum("mi,mi->m", g, Y)
-        Hy = np.einsum("mij,mj->mi", H, Y)
-        hyy = np.einsum("mi,mi->m", Hy, Y)
+        Hy = (H @ Y[:, :, None])[:, :, 0]
+        hyy = np.sum(Hy * Y, axis=1)
         I = np.eye(self.n)
         YY = Y[:, :, None] * Y[:, None, :]
         out = (
@@ -428,8 +429,7 @@ def compose_orthogonal(f, R, label=None):
             return np.asarray(f._grad(Y @ R.T), dtype=float) @ R
 
         def hess(Y):
-            H = np.asarray(f._hess(Y @ R.T), dtype=float)
-            return np.einsum("ji,mjk,kl->mil", R, H, R)
+            return R.T @ np.asarray(f._hess(Y @ R.T), dtype=float) @ R
 
     return SphericalFunction(n, phi, grad, hess, label or f"{f.label}∘R")
 
@@ -480,21 +480,39 @@ def q_matrix(f, u, frame=None):
 
     Equals (spherical Hessian of f) + f * Id in the given orthonormal frame;
     for a support function this is the positive-definite matrix whose
-    eigenvalues are the principal curvature radii.
+    eigenvalues are the principal curvature radii.  One row of q_batch.
     """
     u = np.asarray(u, dtype=float)
     E = tangent_frame(u) if frame is None else np.asarray(frame, dtype=float)
-    H = f.extension_hessian(u)
-    Q = E.T @ H @ E
-    return 0.5 * (Q + Q.T)
+    return q_batch(f, u[None, :], E[None])[0]
 
 
 def q_batch(f, U, frame_stack=None):
-    """q_matrix over many nodes: (m, n) -> (m, n-1, n-1)."""
+    """q_matrix over many nodes: (m, n) -> (m, n-1, n-1).
+
+    Frame columns are orthogonal to u, so for analytic functions every radial
+    term of the extension Hessian drops out and the form is
+    sym(E^T Hess phi(y) E)/r + (phi(y) - <grad phi(y), y>)/r * I with
+    y = u/|u|, r = |u|; the n x n extension Hessian is never built.
+    Finite-difference functions go through extension_hessian.  Raises
+    EvaluationError naming the first node whose form is not finite.
+    """
     U = np.asarray(U, dtype=float)
     E = frames(U) if frame_stack is None else frame_stack
-    H = f.extension_hessian(U)
-    Q = np.einsum("mia,mij,mjb->mab", E, H, E)
+    Et = E.transpose(0, 2, 1)
+    if f.derivative_mode != "analytic":
+        Q = Et @ f.extension_hessian(U) @ E
+    else:
+        r, Y, _, c = f._analytic_parts(U)
+        Q = Et @ np.asarray(f._hess(Y), dtype=float) @ E / r[:, None, None]
+        diag = np.arange(Q.shape[-1])
+        Q[:, diag, diag] += (c / r)[:, None]
+        finite = np.isfinite(Q).reshape(len(Q), -1).all(axis=1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise EvaluationError(
+                f"non-finite Hessian form of {f.label} at node {bad}: u={U[bad]}"
+            )
     return 0.5 * (Q + Q.transpose(0, 2, 1))
 
 

@@ -11,10 +11,13 @@ variable whose perturbation sets both, i.e. for symmetric E
 
     elem_sym(A + tE, i) = elem_sym(A, i) + t * sum_{j,k} cofactor(A,i)_jk E_jk + O(t^2),
 
-with the double sum running over the full index square.  The production
-paths run through a single eigendecomposition; a literal index-expansion
-evaluator and polarized mixed discriminants are kept as independent routes
-for cross-checks.
+with the double sum running over the full index square.  For N <= 3 (every
+geometric caller up to ambient dimension 4) the batch routines are closed-form
+polynomials in the entries: sums of principal minors for S_i, the Newton
+polynomial sum_k (-1)^k e_{i-1-k}(A) A^k for the cofactor, and its
+directional derivative for contract2.  Larger N go through one
+eigendecomposition.  A literal index-expansion evaluator and polarized mixed
+discriminants are kept as independent routes for cross-checks.
 """
 
 from __future__ import annotations
@@ -67,26 +70,37 @@ def elem_sym_from_eigs(lams, i):
 
 def elem_sym(A, i):
     """S_i(A): i-th elementary symmetric function of the eigenvalues of A."""
-    A = check_symmetric(A)
-    N = A.shape[0]
-    if not 0 <= i <= N:
-        raise DomainError(f"order i={i} outside 0..{N}")
-    if i == 0:
-        return 1.0
-    lam = np.linalg.eigvalsh(A)
-    return float(elem_sym_from_eigs(lam, i))
+    return float(elem_sym_batch(check_symmetric(A), i))
 
 
 def elem_sym_batch(As, i):
-    """S_i for a stack of symmetric matrices, shape (..., N, N) -> (...,)."""
+    """S_i for a stack of symmetric matrices, shape (..., N, N) -> (...,).
+
+    For N <= 3 the sum of the order-i principal minors: the trace, the 2x2
+    minors, the determinant by cofactor expansion.
+    """
     As = np.asarray(As, dtype=float)
     N = As.shape[-1]
     if not 0 <= i <= N:
         raise DomainError(f"order i={i} outside 0..{N}")
     if i == 0:
         return np.ones(As.shape[:-2])
-    lam = np.linalg.eigvalsh(As)
-    return elem_sym_from_eigs(lam, i)
+    if N > 3:
+        return elem_sym_from_eigs(np.linalg.eigvalsh(As), i)
+
+    def a(j, k):
+        return As[..., j, k]
+
+    if i == 1:
+        return np.trace(As, axis1=-2, axis2=-1)
+    if i == 2:
+        pairs = itertools.combinations(range(N), 2)
+        return sum(a(j, j) * a(k, k) - a(j, k) * a(k, j) for j, k in pairs)
+    return (
+        a(0, 0) * (a(1, 1) * a(2, 2) - a(1, 2) * a(2, 1))
+        - a(0, 1) * (a(1, 0) * a(2, 2) - a(1, 2) * a(2, 0))
+        + a(0, 2) * (a(1, 0) * a(2, 1) - a(1, 1) * a(2, 0))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -175,16 +189,11 @@ def pair_deleted_elem_sym(lams, k):
 def cofactor(A, i):
     """First derivative matrix (d S_i / d a_jk) in the both-entries convention.
 
-    Shares eigenvectors with A; the eigenvalue attached to the l-th
-    eigenvector is e_{i-1} of the spectrum with lam_l removed.
+    Equals the Newton polynomial sum_k (-1)^k e_{i-1-k}(A) A^k; it shares
+    eigenvectors with A, and the eigenvalue attached to the l-th eigenvector
+    is e_{i-1} of the spectrum with lam_l removed.
     """
-    A = check_symmetric(A)
-    N = A.shape[0]
-    if not 1 <= i <= N:
-        raise DomainError(f"order i={i} outside 1..{N}")
-    lam, V = np.linalg.eigh(A)
-    d = deleted_elem_sym(lam, i - 1)
-    return (V * d) @ V.T
+    return cofactor_batch(check_symmetric(A), i)
 
 
 def cofactor_batch(As, i):
@@ -193,6 +202,14 @@ def cofactor_batch(As, i):
     N = As.shape[-1]
     if not 1 <= i <= N:
         raise DomainError(f"order i={i} outside 1..{N}")
+    if N <= 3:
+        I = np.eye(N)
+        if i == 1:
+            return np.broadcast_to(I, As.shape).copy()
+        e1 = elem_sym_batch(As, 1)[..., None, None]
+        if i == 2:
+            return e1 * I - As
+        return elem_sym_batch(As, 2)[..., None, None] * I - e1 * As + As @ As
     lam, V = np.linalg.eigh(As)
     d = deleted_elem_sym(lam, i - 1)
     return np.einsum("...jl,...l,...kl->...jk", V, d, V)
@@ -270,26 +287,22 @@ def cofactor2(A, i):
 
 
 def contract2(A, i, W):
-    """sum_{rs} (d^2 S_i / d a_jk d a_rs)(A) W_rs without building the tensor."""
+    """sum_{rs} (d^2 S_i / d a_jk d a_rs)(A) W_rs without building the tensor:
+    the derivative of cofactor(., i) at A in the direction W."""
     A = check_symmetric(A)
     W = check_symmetric(W)
-    N = A.shape[0]
-    if W.shape[0] != N:
+    if W.shape != A.shape:
         raise DomainError("contract2: dimension mismatch")
-    if i < 1 or i > N:
-        raise DomainError(f"order i={i} outside 1..{N}")
-    if i == 1:
-        return np.zeros((N, N))
-    lam, V = np.linalg.eigh(A)
-    Wb = V.T @ W @ V
-    pair = pair_deleted_elem_sym(lam, i - 2)
-    Mb = -pair * Wb
-    np.fill_diagonal(Mb, np.sum(pair * np.diagonal(Wb), axis=-1))
-    return V @ Mb @ V.T
+    return contract2_batch(A, i, W)
 
 
 def contract2_batch(As, i, Ws):
-    """contract2 over stacks: (..., N, N) x (..., N, N) -> (..., N, N)."""
+    """contract2 over stacks of symmetric matrices: (..., N, N) x (..., N, N) -> (..., N, N).
+
+    For N <= 3 the directional derivative of the Newton polynomial:
+    tr(W) I - W for i = 2, and for i = 3, with P1 = e1(A) I - A,
+    tr(P1 W) I - tr(W) A - e1(A) W + A W + W A.
+    """
     As = np.asarray(As, dtype=float)
     Ws = np.asarray(Ws, dtype=float)
     N = As.shape[-1]
@@ -297,6 +310,14 @@ def contract2_batch(As, i, Ws):
         raise DomainError(f"order i={i} outside 1..{N}")
     if i == 1:
         return np.zeros(np.broadcast_shapes(As.shape, Ws.shape))
+    if N <= 3:
+        I = np.eye(N)
+        trW = elem_sym_batch(Ws, 1)[..., None, None]
+        if i == 2:
+            return trW * I - Ws
+        e1 = elem_sym_batch(As, 1)[..., None, None]
+        trPW = np.sum((e1 * I - As) * Ws, axis=(-2, -1))[..., None, None]
+        return trPW * I - trW * As - e1 * Ws + As @ Ws + Ws @ As
     lam, V = np.linalg.eigh(As)
     Wb = np.einsum("...ji,...jk,...kl->...il", V, Ws, V)
     pair = pair_deleted_elem_sym(lam, i - 2)

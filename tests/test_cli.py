@@ -22,6 +22,7 @@ from areafun.cli import (
 )
 from areafun.errors import DomainError
 from areafun.functionals import functional_value
+from areafun.mollify import MollifierKernel
 from areafun.sphere import make_grid
 
 SADDLE = 'const:1 + 0.45*poly:"x1^2 - x2^2"'
@@ -212,6 +213,23 @@ class TestCommands:
              "--k", "4,8", "--samples", "120", "--grid", "1024", "--i", "2"],
         )
         assert code == EXIT_OK and doc["condition_preserved"] is True
+
+    def test_mollify_builds_each_kernel_once(self, capsys, monkeypatch):
+        built = []
+        original = MollifierKernel.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args[1])
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(MollifierKernel, "build", classmethod(counting))
+        code, doc = run_cli(
+            capsys,
+            ["mollify", "--f", 'const:1 + 0.2*poly:"x1^2 - x2^2"', "--n", "3",
+             "--k", "4,8", "--samples", "120", "--grid", "512", "--i", "2"],
+        )
+        assert code == EXIT_OK and doc["condition_preserved"] is True
+        assert built == [4, 8]
 
     def test_cylinder_and_dimred(self, capsys):
         code, doc = run_cli(

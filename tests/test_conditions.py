@@ -10,6 +10,7 @@ from areafun import sphere
 from areafun.bodies import ellipsoid
 from areafun.conditions import (
     EigenSumScan,
+    _diagonal_form_values,
     check_mi,
     check_pointwise_ii25,
     downward_closed,
@@ -21,6 +22,7 @@ from areafun.conditions import (
 )
 from areafun.errors import DomainError
 from areafun.sphere import make_grid
+from areafun.symfun import deleted_elem_sym
 
 RNG = np.random.default_rng(311)
 
@@ -206,6 +208,17 @@ class TestLemmaBruteforce:
             lhs, rhs = lemma_equiv_bruteforce(mu, i, trials=200, seed=int(rng.integers(1 << 30)))
             agree += lhs == rhs
         assert agree == trials
+
+    def test_diagonal_form_matches_row_loop(self):
+        rng = np.random.default_rng(5)
+        for N in range(1, 7):
+            mu = rng.normal(size=N)
+            lams = rng.uniform(0.0, 2.0, size=(50, N))
+            for i in range(1, N + 1):
+                want = [mu @ deleted_elem_sym(lam, i - 1) for lam in lams]
+                np.testing.assert_allclose(
+                    _diagonal_form_values(mu, i, lams), want, rtol=1e-13, atol=1e-13
+                )
 
     def test_size_limit(self):
         with pytest.raises(DomainError):

@@ -15,6 +15,7 @@ from areafun.identities import (
     ibp_second_order_residual,
     ibp_symmetry_residual,
 )
+from areafun.functionals import first_variation, second_variation
 from areafun.sphere import make_grid
 
 RNG = np.random.default_rng(1234)
@@ -74,6 +75,28 @@ class TestIbpFirstOrder:
             for i in (1, 3):
                 rep = ibp_symmetry_residual(f, phi, K, i, grid4)
                 assert rep.within()
+
+
+class TestRefinementLadder:
+    def test_reports_telescope_the_paired_variations(self, grid3):
+        # each ladder level is evaluated once, and the report equals the
+        # composition of the paired variations on the grid and its coarse grid
+        f = random_poly(3, np.random.default_rng(8))
+        phi = random_poly(3, np.random.default_rng(9))
+        K = ellipsoid([1.0, 1.3, 0.8])
+        cases = [
+            (ibp_symmetry_residual, first_variation, ("direct", "adjoint")),
+            (ibp_second_order_residual, second_variation, ("quadratic", "adjoint")),
+        ]
+        for residual, variation, forms in cases:
+            rep = residual(f, phi, K, 2, grid3)
+            sides = []
+            for form in forms:
+                value, gap1 = variation(f, K, phi, 2, grid3, form=form)
+                _, gap2 = variation(f, K, phi, 2, grid3.coarse(), form=form)
+                sides.append((value, gap1 + gap2))
+            assert (rep.lhs, rep.lhs_estimate) == sides[0]
+            assert (rep.rhs, rep.rhs_estimate) == sides[1]
 
 
 class TestIbpSecondOrder:
