@@ -19,9 +19,17 @@ arguments use a small spec language::
 and weighted sums like ``2*const:1 + 0.5*poly:"x1*x2"``.  Body specs are
 ``ball:r``, ``ellipsoid:a1,...,an``, or weighted Minkowski sums of those;
 flat bodies for the cylinder commands are ``disc:r`` or ``ellipse:a,b``.
+Every number in a spec must be finite.
+
+A ``poly:`` expression may use int and float literals, the variables
+x1..xn, unary + and -, binary +, - and *, / by a nonzero constant, ** or ^
+to a constant non-negative integer power, and parentheses.  Anything else
+(function calls, names such as pi, fractional or negative powers) is a
+usage error.
 """
 
 import argparse
+import ast
 import csv
 import dataclasses
 import json
@@ -97,46 +105,82 @@ def _split_weight(term):
     head, star, rest = term.partition("*")
     if star and rest:
         try:
-            return float(head), rest.strip()
+            float(head)
         except ValueError:
-            pass
+            return 1.0, term
+        return _float(head, f"the weight of {term!r}"), rest.strip()
     return 1.0, term
 
 
 def _floats(text, what):
+    """Comma-separated finite numbers; every number in a spec is read here."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        vals = [float(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise DomainError(f"expected comma-separated numbers for {what}: {text!r}")
+    if not all(math.isfinite(x) for x in vals):
+        raise DomainError(f"numbers for {what} must be finite: {text!r}")
+    return vals
+
+
+def _float(text, what):
+    vals = _floats(text, what)
+    if len(vals) != 1:
+        raise DomainError(f"expected one number for {what}: {text!r}")
+    return vals[0]
 
 
 def _parse_poly(expr, n):
-    import sympy
-    from sympy.parsing.sympy_parser import (
-        convert_xor,
-        parse_expr,
-        standard_transformations,
-    )
+    """Exponent tuple -> coefficient dict of a ``poly:`` expression in x1..xn;
+    integers stay exact, ``/`` gives floats, like terms merge, zeros drop."""
+    one, names = (0,) * n, {f"x{k + 1}": k for k in range(n)}
 
-    syms = [sympy.Symbol(f"x{k}") for k in range(1, n + 1)]
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return out
+
+    def fail(why):
+        return DomainError(f"cannot parse polynomial {expr!r}: {why}")
+
+    def walk(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return {one: node.value}
+        if isinstance(node, ast.Name) and node.id in names:
+            return {tuple(int(j == names[node.id]) for j in range(n)): 1}
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            sign = -1 if isinstance(node.op, ast.USub) else 1
+            return mul({one: sign}, walk(node.operand))
+        if isinstance(node, ast.BinOp):
+            a, b = walk(node.left), walk(node.right)
+            if isinstance(node.op, (ast.Add, ast.Sub)):
+                for e, c in b.items():
+                    a[e] = a.get(e, 0) + (c if isinstance(node.op, ast.Add) else -c)
+                return a
+            if isinstance(node.op, ast.Mult):
+                return mul(a, b)
+            k = b.get(one, 0) if set(b) <= {one} else None  # a constant right operand
+            if isinstance(node.op, ast.Div) and k:
+                return {e: c / k for e, c in a.items()}
+            if isinstance(node.op, ast.Pow) and type(k) is int and k >= 0:
+                out = {one: 1}
+                for bit in bin(k)[2:]:  # square-and-multiply
+                    out = mul(out, out)
+                    out = mul(out, a) if bit == "1" else out
+                return out
+        raise fail(f"{ast.unparse(node)!r} is outside the grammar (numbers, x1..x{n}, + - * / ^)")
+
     try:
-        e = parse_expr(
-            expr,
-            local_dict={s.name: s for s in syms},
-            transformations=standard_transformations + (convert_xor,),
-        )
-    except Exception as exc:
-        raise DomainError(f"cannot parse polynomial {expr!r}: {exc}")
-    extra = e.free_symbols - set(syms)
-    if extra:
-        names = ", ".join(sorted(s.name for s in extra))
-        raise DomainError(f"polynomial {expr!r} uses unknown variables: {names}")
-    try:
-        p = sympy.Poly(sympy.expand(e), *syms)
-    except sympy.PolynomialError as exc:
-        raise DomainError(f"{expr!r} is not a polynomial: {exc}")
-    terms = {tuple(int(v) for v in mono): float(c) for mono, c in p.terms()}
-    return polynomial(n, terms, label=f"poly:{expr}")
+        tree = ast.parse(expr.strip().replace("^", "**"), mode="eval")
+        terms = {e: float(c) for e, c in walk(tree.body).items() if c != 0}
+    except (SyntaxError, RecursionError, OverflowError) as exc:
+        raise fail(f"{type(exc).__name__}: {exc}")
+    if not all(map(math.isfinite, terms.values())):
+        raise fail("coefficients must be finite")
+    return terms
 
 
 def parse_function(spec, n):
@@ -149,9 +193,10 @@ def parse_function(spec, n):
         if not colon:
             raise DomainError(f"function term {term!r} needs a 'kind:' prefix")
         if kind == "poly":
-            f = _parse_poly(arg.strip().strip('"'), n)
+            expr = arg.strip().strip('"')
+            f = polynomial(n, _parse_poly(expr, n), label=f"poly:{expr}")
         elif kind == "const":
-            f = constant(n, float(arg))
+            f = constant(n, _float(arg, "const:"))
         elif kind == "linear":
             v = _floats(arg, "linear: direction")
             if len(v) != n:
@@ -187,7 +232,7 @@ def parse_body(spec, n):
         kind, colon, arg = rest.partition(":")
         kind = kind.strip().lower()
         if kind == "ball":
-            r = float(arg) if colon and arg.strip() else 1.0
+            r = _float(arg, "ball: radius") if colon and arg.strip() else 1.0
             b = ball(n, r)
         elif kind == "ellipsoid":
             axes = _floats(arg, "ellipsoid: semi-axes")
@@ -208,7 +253,7 @@ def parse_flat(spec, delta):
     kind, colon, arg = spec.partition(":")
     kind = kind.strip().lower()
     if kind == "disc":
-        r = float(arg) if colon and arg.strip() else 1.0
+        r = _float(arg, "disc: radius") if colon and arg.strip() else 1.0
         return flattened_ellipse(r, r, delta)
     if kind == "ellipse":
         ab = _floats(arg, "ellipse: semi-axes")
@@ -233,7 +278,7 @@ def load_config(path):
                 if not eq or not key.strip():
                     raise DomainError(f"{path}:{k}: expected 'key = value', got {s!r}")
                 cfg[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     return cfg
 
@@ -361,11 +406,12 @@ def _grid_for(n, resolution, seed):
     return make_grid(n, resolution, seed=seed)
 
 
-def _add_common(p, f_required=True, want_i=True):
-    p.add_argument("--f", required=f_required, help="weight function spec")
+def _add_common(p, want_i=True):
+    # --f and --i are not argparse-required, so that --config can preset them
+    p.add_argument("--f", help="weight function spec")
     p.add_argument("--n", help="ambient dimension (default 3)")
     if want_i:
-        p.add_argument("--i", required=True, help="order of the density (1..n-1)")
+        p.add_argument("--i", help="order of the density (1..n-1)")
     p.add_argument("--grid", help="grid resolution (default 8192; 65536 for n=4)")
     p.add_argument("--grid-seed", dest="grid_seed", help="seed for sampled grids")
 
@@ -376,6 +422,8 @@ def _resolve_common(st, want_i=True):
         raise DomainError("ambient dimension must be at least 2")
     res = st.get_int("grid", 65536 if n >= 4 else 8192)
     grid = _grid_for(n, res, st.get_int("grid_seed", 0))
+    if st.get("f") is None:
+        raise DomainError("a weight function --f is required")
     out = {"n": n, "grid": grid}
     if want_i:
         i = st.get_int("i")
@@ -843,10 +891,10 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"areafun {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, f_required=True, want_i=True, common=True):
+    def add(name, handler, help_, want_i=True, common=True):
         p = sub.add_parser(name, help=help_)
         if common:
-            _add_common(p, f_required=f_required, want_i=want_i)
+            _add_common(p, want_i=want_i)
         p.add_argument("--config", help="key = value file presetting any long flag")
         p.add_argument("--out", help="write the JSON summary here instead of stdout")
         p.add_argument("--csv", help="write a CSV detail table here")
@@ -897,7 +945,7 @@ def build_parser():
     p.add_argument("--factor", help="pass threshold in error-estimate units (default 5)")
 
     p = add("cylinder-check", cmd_cylinder_check,
-            "cylinder splitting identity at n=3", f_required=False, common=False)
+            "cylinder splitting identity at n=3", common=False)
     p.add_argument("--f", help="weight function spec (default const:1)")
     p.add_argument("--K1", help="flat body: disc:r or ellipse:a,b (default disc:1)")
     p.add_argument("--R", help="cylinder length (default 1)")
@@ -908,7 +956,7 @@ def build_parser():
     p.add_argument("--naz", help="azimuthal resolution (default 96)")
 
     p = add("dimred", cmd_dimred, "scaled large-R limit onto the circle functional",
-            f_required=False, common=False)
+            common=False)
     p.add_argument("--f", help="weight function spec (default const:1)")
     p.add_argument("--K1", help="flat body: disc:r or ellipse:a,b (default disc:1)")
     p.add_argument("--R", help="cylinder lengths (default 2,8,32)")
@@ -918,7 +966,7 @@ def build_parser():
     p.add_argument("--naz", help="azimuthal resolution (default 96)")
 
     p = add("corpus", cmd_corpus, "condition/monotonicity roundtrip over the corpus",
-            f_required=False, common=False)
+            common=False)
     p.add_argument("--seed", help="corpus sampling seed (hex accepted)")
     p.add_argument("--labels", help="comma-separated corpus labels to restrict to")
     p.add_argument("--pairs", help="nested pairs per dimension (default 8)")

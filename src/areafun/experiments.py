@@ -847,8 +847,6 @@ def bm_violation_hunt(
     n = f.n
     diagnostics = []
 
-    F_cache = {}
-
     for delta_reg in delta_regs:
         A, Qf, E = _violating_form(f, i, u_star, delta_reg)
         K = realize_q(A, u_star, label=f"hunt[{f.label},i={i},d={delta_reg:g}]")
@@ -862,9 +860,7 @@ def bm_violation_hunt(
         v_amb = E @ W[:, 0]
         v_amb /= np.linalg.norm(v_amb)
 
-        if delta_reg not in F_cache:
-            F_cache[delta_reg] = functional_value(f, K, i, grid)
-        F, estF = F_cache[delta_reg]
+        F, estF = functional_value(f, K, i, grid)
         if F <= 0:
             diagnostics.append({"stage": "positivity", "delta_reg": delta_reg, "F": F})
             continue

@@ -404,25 +404,3 @@ def dimension_reduction_limit(
         corrected_errors=[abs(v - circle_value) / scale for v in corrected],
     )
 
-
-def scaled_segment_values(f, Ka, Kb, R=32.0, delta=0.01, t_count=7, grid=None):
-    """Scaled cylinder functional along a planar Minkowski segment.
-
-    The mixed density is linear in its first slot, so these values must be
-    affine in t up to quadrature — the finite-R shadow of the limit
-    functional's linearity on planar bodies.  Returns (ts, values, estimates).
-    """
-    if not (isinstance(Ka, FlattenedBody) and isinstance(Kb, FlattenedBody)):
-        raise DomainError("segment endpoints must be FlattenedBody instances")
-    grid = reduction_grid() if grid is None else grid
-    cyl = _certified(cylinder(R, delta).body3d, grid, delta)
-    A = _certified(Ka.rethickened(delta).body3d, grid, delta)
-    B = _certified(Kb.rethickened(delta).body3d, grid, delta)
-    ts = np.linspace(0.0, 1.0, int(t_count))
-    values, estimates = [], []
-    for t in ts:
-        body = A if t == 0.0 else B if t == 1.0 else combine([1.0 - t, t], [A, B])
-        v, e = mixed_area_integral(f, [body, cyl], grid)
-        values.append(v / R)
-        estimates.append(e / R)
-    return ts, np.asarray(values), np.asarray(estimates)

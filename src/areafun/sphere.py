@@ -33,6 +33,7 @@ FD_GRADIENT_STEP = 1e-5
 FD_HESSIAN_STEP = 1e-4
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+_POLY_BLOCK = 1 << 16
 
 
 def sphere_area(n):
@@ -239,53 +240,27 @@ def linear(n, v, label=None):
     return SphericalFunction(n, phi, grad, hess, label or "linear")
 
 
-class _Poly:
-    """Multivariate polynomial as exponent/coefficient tables."""
+def _monomial_evaluator(E, C, shape):
+    """Y (m, n) -> (m, *shape): the monomials x^E (rows of E) times C, formed by
+    square-and-multiply over the exponent bits, so memory does not grow with the
+    degree, in node blocks of _POLY_BLOCK table entries that stay in cache."""
+    bits = [[np.flatnonzero((E[:, v] >> b) & 1) for v in range(E.shape[1])]
+            for b in range(int(E.max(initial=0)).bit_length())]
+    block = max(1, _POLY_BLOCK // max(1, len(E)))
 
-    def __init__(self, n, terms):
-        self.n = n
-        exps = []
-        coeffs = []
-        for e, c in terms.items():
-            e = tuple(int(k) for k in e)
-            if len(e) != n or any(k < 0 for k in e):
-                raise DomainError(f"bad exponent tuple {e}")
-            if c != 0.0:
-                exps.append(e)
-                coeffs.append(float(c))
-        self.exps = np.asarray(exps if exps else np.zeros((0, n), dtype=int))
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.max_exp = int(self.exps.max()) if len(self.coeffs) else 0
+    def evaluate(Y):
+        out = np.empty((len(Y), C.shape[1]))
+        for s in range(0, len(Y), block):
+            S = np.ascontiguousarray(Y[s : s + block].T)
+            M = np.ones((len(E), S.shape[1]))
+            for b, rows in enumerate(bits):
+                S = S * S if b else S
+                for v, r in enumerate(rows):
+                    M[r] *= S[v]
+            np.matmul(M.T, C, out=out[s : s + block])
+        return out.reshape((len(Y),) + shape)
 
-    def value(self, Y):
-        if len(self.coeffs) == 0:
-            return np.zeros(Y.shape[0])
-        # power tables: pw[v][e] = Y[:, v] ** e
-        pw = [None] * self.n
-        for v in range(self.n):
-            col = np.ones((self.max_exp + 1, Y.shape[0]))
-            for e in range(1, self.max_exp + 1):
-                col[e] = col[e - 1] * Y[:, v]
-            pw[v] = col
-        out = np.zeros(Y.shape[0])
-        for t in range(len(self.coeffs)):
-            term = np.full(Y.shape[0], self.coeffs[t])
-            for v in range(self.n):
-                e = self.exps[t, v]
-                if e:
-                    term = term * pw[v][e]
-            out += term
-        return out
-
-    def diff(self, v):
-        terms = {}
-        for t in range(len(self.coeffs)):
-            e = self.exps[t]
-            if e[v] == 0:
-                continue
-            ne = tuple(e[w] - (1 if w == v else 0) for w in range(self.n))
-            terms[ne] = terms.get(ne, 0.0) + self.coeffs[t] * e[v]
-        return _Poly(self.n, terms)
+    return evaluate
 
 
 def polynomial(n, terms, label=None):
@@ -295,36 +270,34 @@ def polynomial(n, terms, label=None):
     (0,2,0): -1.0} for x1^2 - x2^2.  The ambient representative is the
     polynomial itself; the homogeneous extension of a degree-d monomial
     restriction is |x|^(1-d) times the monomial, which the generic chain rule
-    reproduces exactly.
+    reproduces exactly.  Value, gradient and Hessian are each one coefficient
+    matrix, with 1, n and n^2 columns, over its own monomial table.
     """
-    P = _Poly(n, terms)
-    grads = [P.diff(v) for v in range(n)]
-    hesss = [[grads[v].diff(w) for w in range(n)] for v in range(n)]
-
-    def phi(Y):
-        return P.value(Y)
-
-    def grad(Y):
-        return np.stack([grads[v].value(Y) for v in range(n)], axis=1)
-
-    def hess(Y):
-        m = Y.shape[0]
-        H = np.empty((m, n, n))
-        for v in range(n):
-            H[:, v, v] = hesss[v][v].value(Y)
-            for w in range(v + 1, n):
-                H[:, v, w] = H[:, w, v] = hesss[v][w].value(Y)
-        return H
-
-    return SphericalFunction(n, phi, grad, hess, label or "poly")
+    for e in terms:
+        if len(e) != n or any(not 0 <= int(k) < 2**63 for k in e):
+            raise DomainError(f"bad exponent tuple {tuple(e)}")
+    E = np.array([[int(k) for k in e] for e in terms], dtype=np.int64).reshape(-1, n)
+    C = np.array([float(c) for c in terms.values()]).reshape(-1, 1)
+    tables = []
+    for order in range(3):
+        if order:
+            # d/dx_v (c x^e) = c e_v x^(e - 1_v), in column j*n + v; where
+            # e_v = 0 the coefficient is 0, so the clipped exponent never counts
+            C = np.einsum("kj,kv,vw->kvjw", C, E, np.eye(n)).reshape(len(E) * n, C.shape[1] * n)
+            E = np.maximum(E[:, None] - np.eye(n, dtype=E.dtype), 0).reshape(-1, n)
+        keep = C.any(axis=1)  # merge like monomials, drop zero rows
+        E, inv = np.unique(E[keep], axis=0, return_inverse=True)
+        C = (np.arange(len(E))[:, None] == inv.reshape(-1)) @ C[keep]
+        tables.append(_monomial_evaluator(E, C, (n,) * order))
+    return SphericalFunction(n, *tables, label or "poly")
 
 
 def quadratic_support(M, label=None):
     """sqrt(x^T M x) for symmetric positive definite M (ellipsoid support)."""
     M = np.asarray(M, dtype=float)
     n = M.shape[0]
-    if M.shape != (n, n) or not np.allclose(M, M.T):
-        raise DomainError("expected a symmetric matrix")
+    if M.shape != (n, n) or not np.isfinite(M).all() or not np.allclose(M, M.T):
+        raise DomainError("expected a finite symmetric matrix")
     lam = np.linalg.eigvalsh(M)
     if lam[0] <= 0:
         raise DomainError("quadratic form must be positive definite")

@@ -329,32 +329,20 @@ def contract2_batch(As, i, Ws):
 
 
 def mixed_discriminant(mats):
-    """Mixed discriminant D(A_1, .., A_N) normalized so D(A, .., A) = det(A).
-
-    Evaluated by inclusion-exclusion polarization of the determinant:
-    D = (1/N!) sum_{S nonempty} (-1)^(N-|S|) det(sum_{i in S} A_i).
-    """
+    """Mixed discriminant D(A_1, .., A_N) normalized so D(A, .., A) = det(A)."""
     mats = [check_symmetric(M) for M in mats]
-    N = mats[0].shape[0]
-    if any(M.shape[0] != N for M in mats):
+    if any(M.shape != mats[0].shape for M in mats):
         raise DomainError("mixed_discriminant: matrices must share one dimension")
-    if len(mats) != N:
-        raise DomainError(
-            f"mixed_discriminant: need exactly N={N} matrices, got {len(mats)}"
-        )
-    total = 0.0
-    for size in range(1, N + 1):
-        sign = (-1.0) ** (N - size)
-        for subset in itertools.combinations(range(N), size):
-            S = mats[subset[0]].copy()
-            for idx in subset[1:]:
-                S += mats[idx]
-            total += sign * np.linalg.det(S)
-    return total / math.factorial(N)
+    return float(mixed_discriminant_batch(mats))
 
 
 def mixed_discriminant_batch(stacks):
-    """Mixed discriminant for N stacks of matrices, each (..., N, N) -> (...,)."""
+    """Mixed discriminant for N stacks of symmetric matrices, each (..., N, N) -> (...,).
+
+    Evaluated by inclusion-exclusion polarization of the determinant:
+    D = (1/N!) sum_{S nonempty} (-1)^(N-|S|) det(sum_{i in S} A_i), with each
+    determinant taken as e_N by elem_sym_batch.
+    """
     stacks = [np.asarray(M, dtype=float) for M in stacks]
     N = stacks[0].shape[-1]
     if len(stacks) != N:
@@ -368,5 +356,5 @@ def mixed_discriminant_batch(stacks):
             S = stacks[subset[0]].copy()
             for idx in subset[1:]:
                 S = S + stacks[idx]
-            total = total + sign * np.linalg.det(S)
+            total = total + sign * elem_sym_batch(S, N)
     return total / math.factorial(N)

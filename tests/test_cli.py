@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from areafun.bodies import ball, ellipsoid
 from areafun.cli import (
@@ -14,6 +16,7 @@ from areafun.cli import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     Settings,
+    _parse_poly,
     load_config,
     main,
     parse_body,
@@ -73,6 +76,157 @@ class TestFunctionSpecs:
                 parse_function(bad, 3)
 
 
+class TestPolyParser:
+    @pytest.mark.parametrize(
+        "expr, terms",
+        [
+            ("x1^2 - x2^2", {(2, 0, 0): 1.0, (0, 2, 0): -1.0}),
+            ("x1**2", {(2, 0, 0): 1.0}),
+            ("(x1 + x2)^2/4", {(2, 0, 0): 0.25, (1, 1, 0): 0.5, (0, 2, 0): 0.25}),
+            ("-x3", {(0, 0, 1): -1.0}),
+            ("2*x1*(x2 + 1)^2", {(1, 2, 0): 2.0, (1, 1, 0): 4.0, (1, 0, 0): 2.0}),
+            ("1e-3*x1", {(1, 0, 0): 0.001}),
+            ("x1^(1+1)", {(2, 0, 0): 1.0}),
+            # the shape of the benchmark's eval-poly weight
+            (
+                "0.7 + 0.25*x1^2 + -0.3*x2*x3 + 0.15*x3",
+                {(0, 0, 0): 0.7, (2, 0, 0): 0.25, (0, 1, 1): -0.3, (0, 0, 1): 0.15},
+            ),
+            ("x1*x2 - x2*x1 + 3/6*x3", {(0, 0, 1): 0.5}),
+        ],
+    )
+    def test_term_dicts(self, expr, terms):
+        assert _parse_poly(expr, 3) == terms
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "x4", "x0", "y", "sin(x1)", "pi*x1", "E", "sqrt(2)", "x1/x2", "x1/0",
+            "x1^0.5", "x1^-1", "x1^x2", "", "x1^", "I*x1", "zoo*x1", "oo",
+            "x1==1", "lambda: 1", "1e999*x1", "True", "1j", "x1 % 2", "2^2000",
+            "x1^(2^70)", "-" * 5000 + "x1",
+        ],
+    )
+    def test_rejects(self, expr):
+        with pytest.raises(DomainError):
+            parse_function(f'poly:"{expr}"', 3)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "const:abc", "const:nan", "const:inf", "const:", "nan*const:1",
+            'poly:"I*x1"', 'poly:"zoo*x1"', 'poly:"x1==1"', 'poly:"lambda: 1"',
+            'poly:"oo"', "linear:0,nan,1", "support:ball:x",
+        ],
+    )
+    def test_bad_specs_exit_2(self, capsys, spec):
+        code, doc = run_cli(capsys, ["eval", "--f", spec, "--n", "3", "--i", "1", "--grid", "64"])
+        assert code == EXIT_USAGE and doc is None
+
+    def test_bad_body_numbers(self):
+        for bad in ("ball:abc", "ball:inf", "ellipsoid:1,nan,1", "ellipsoid:1e300,1,1"):
+            with pytest.raises(DomainError):
+                parse_body(bad, 3)
+        for bad in ("disc:abc", "disc:-inf", "ellipse:1,inf", "disc:1e300"):
+            with pytest.raises(DomainError):
+                parse_flat(bad, 0.05)
+
+    def test_sympy_is_not_imported(self):
+        code = (
+            "import sys\n"
+            "from areafun.cli import main, parse_function\n"
+            "parse_function('poly:\"x1^2 - x2*x3\"', 3)\n"
+            "assert main(['eval', '--f', 'poly:\"x1^2\"', '--n', '3', '--i', '1',"
+            " '--grid', '256']) == 0\n"
+            "assert 'sympy' not in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["", "nan", "-inf", "1e400", "abc", "1_0", "0x10", " 2 "]),
+)
+# constants stay at most 2 so that nested powers stay small
+POLY_TEXT = st.recursive(
+    st.sampled_from(
+        ["x1", "x2", "x3", "x4", "x0", "pi", "I", "1", "2", "0", "0.5", "1e999",
+         "True", "1j", "sin(x1)", ""]
+    ),
+    lambda inner: st.one_of(
+        st.tuples(
+            inner, st.sampled_from(["+", "-", "*", "/", "^", "**", "==", "%", ","]), inner
+        ).map(" ".join),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+    ),
+    max_leaves=5,
+)
+TERM_TEXT = st.one_of(
+    POLY_TEXT.map('poly:"{}"'.format),
+    st.tuples(
+        st.sampled_from(
+            ["const", "linear", "bump", "support:ball", "support:ellipsoid", "ball",
+             "ellipsoid", "disc", "ellipse", "mystery", ""]
+        ),
+        st.sampled_from([":", ""]),
+        st.lists(NUMBER_TEXT, max_size=5).map(",".join),
+    ).map("".join),
+)
+SPEC_TEXT = st.lists(
+    st.tuples(st.sampled_from(["", "2*", "0.5*", "-1*", "nan*", "x*"]), TERM_TEXT).map("".join),
+    min_size=1,
+    max_size=3,
+).map(" + ".join)
+FUZZ = settings(max_examples=200, deadline=None)
+
+
+def returns_or_domain_error(fn, *args):
+    try:
+        fn(*args)
+    except DomainError:
+        pass
+
+
+class TestSpecFuzz:
+    """Spec and config parsers return or raise DomainError, never anything else."""
+
+    @FUZZ
+    @given(st.one_of(st.text(), SPEC_TEXT))
+    def test_parse_function(self, spec):
+        returns_or_domain_error(parse_function, spec, 3)
+
+    @FUZZ
+    @given(st.one_of(st.text(), SPEC_TEXT))
+    def test_parse_body(self, spec):
+        returns_or_domain_error(parse_body, spec, 3)
+
+    @FUZZ
+    @given(st.one_of(st.text(), SPEC_TEXT))
+    def test_parse_flat(self, spec):
+        returns_or_domain_error(parse_flat, spec, 0.05)
+
+    @FUZZ
+    @given(
+        st.one_of(
+            st.binary(),
+            st.lists(
+                st.tuples(st.text(), st.sampled_from(["=", " = ", "", "#"]), st.text()).map(
+                    "".join
+                )
+            ).map(lambda lines: "\n".join(lines).encode("utf-8", "surrogatepass")),
+        )
+    )
+    def test_load_config(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+        path.write_bytes(data)
+        returns_or_domain_error(load_config, str(path))
+
+
 class TestBodySpecs:
     def test_ball_and_ellipsoid(self):
         assert parse_body("ball:2", 3).support([1.0, 0.0, 0.0]) == pytest.approx(2.0)
@@ -120,6 +274,16 @@ class TestConfig:
             load_config(str(cfg))
         with pytest.raises(DomainError):
             load_config(str(tmp_path / "missing.txt"))
+
+    def test_config_presets_f_and_i(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("f = const:1\ni = 1\ngrid = 512\n")
+        code, doc = run_cli(capsys, ["eval", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert doc["value"] == pytest.approx(8.0 * math.pi, rel=1e-9)
+        cfg.write_text("i = 1\n")
+        code, doc = run_cli(capsys, ["eval", "--config", str(cfg)])
+        assert code == EXIT_USAGE and doc is None
 
 
 class TestCommands:

@@ -20,7 +20,6 @@ from areafun.reduction import (
     needle,
     project_to_plane,
     reduction_grid,
-    scaled_segment_values,
     segment_factor_identity,
 )
 from areafun.sphere import from_callable
@@ -222,15 +221,6 @@ class TestReductionLimit:
         assert lim.circle_value == pytest.approx(1.2 * math.pi, rel=1e-9)
         assert lim.corrected_errors[-1] <= 0.02
         assert lim.raw_errors[0] >= 3.0 * lim.raw_errors[1]
-
-    def test_planar_segment_is_affine(self, rgrid, unit_disc):
-        f = from_callable(3, lambda U: 1.0 + 0.3 * U[:, 0] ** 2, label="f")
-        Kb = flattened_ellipse(0.6, 1.3, 0.01)
-        ts, vals, ests = scaled_segment_values(
-            f, unit_disc, Kb, R=32.0, t_count=7, grid=rgrid
-        )
-        d2 = vals[2:] - 2.0 * vals[1:-1] + vals[:-2]
-        assert np.max(np.abs(d2)) <= 1e-10 * np.max(np.abs(vals))
 
     def test_validation(self, rgrid, cgrid, unit_disc):
         with pytest.raises(DomainError):

@@ -1,6 +1,7 @@
 """Spherical functions, frames, Hessian forms, and grid quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,74 @@ class TestFrames:
     def test_rejects_nonunit(self):
         with pytest.raises(DomainError):
             frames(np.array([[1.0, 1.0, 1.0]]))
+
+
+def term_loop(terms, Y):
+    """Reference: value, gradient and Hessian of a polynomial, one term at a time."""
+    m, n = Y.shape
+    val, grad, hess = np.zeros(m), np.zeros((m, n)), np.zeros((m, n, n))
+    for e, c in terms.items():
+        e = np.array(e)
+        for v in range(n):
+            for w in range(n):
+                d = e.copy()
+                coef = c * d[v]
+                d[v] -= 1
+                coef *= d[w]
+                d[w] -= 1
+                if coef:
+                    hess[:, v, w] += coef * np.prod(Y ** d, axis=1)
+            if e[v]:
+                d = e.copy()
+                d[v] -= 1
+                grad[:, v] += c * e[v] * np.prod(Y ** d, axis=1)
+        val += c * np.prod(Y ** e, axis=1)
+    return val, grad, hess
+
+
+class TestPolynomial:
+    def test_tables_match_term_loop(self):
+        # 3000 nodes span several node blocks for the larger monomial tables
+        rng = np.random.default_rng(11)
+        for n in (3, 4):
+            for degree in range(6):
+                terms = {
+                    tuple(rng.multinomial(d, [1.0 / n] * n)): rng.normal()
+                    for d in range(degree + 1)
+                    for _ in range(6)
+                }
+                f = polynomial(n, terms)
+                Y = rand_unit(n, 3000, rng)
+                got = (f._phi(Y), f._grad(Y), f._hess(Y))
+                for a, b in zip(got, term_loop(terms, Y)):
+                    scale = max(1.0, np.abs(b).max())
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-13 * scale)
+
+    def test_memory_follows_monomials_not_degree(self):
+        grid = make_grid(3, 8192)
+        f = polynomial(3, {(100000, 0, 0): 1.0})
+        tracemalloc.start()
+        try:
+            value = f.value(grid.nodes)
+            q_batch(f, grid.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        # x^100000 amplifies one rounding of x by 1e5: square-and-multiply
+        # sits within about 1e5 ulp of the correctly rounded power
+        want = grid.nodes[:, 0] ** 100000
+        assert np.count_nonzero(want) > 0
+        np.testing.assert_allclose(value, want, rtol=1e-10, atol=0)
+
+    def test_zero_and_bad_exponents(self):
+        U = rand_unit(3, 5)
+        for terms in ({}, {(0, 0, 0): 0.0}, {(1, 1, 0): 0.0}):
+            f = polynomial(3, terms)
+            assert not f.value(U).any() and not f._grad(U).any() and not f._hess(U).any()
+        for bad in ({(1, 0): 1.0}, {(-1, 0, 0): 1.0}, {(2**63, 0, 0): 1.0}):
+            with pytest.raises(DomainError):
+                polynomial(3, bad)
 
 
 class TestQMatrix:
