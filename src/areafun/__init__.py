@@ -77,6 +77,7 @@ from .identities import (
 )
 from .mollify import (
     MollifierKernel,
+    RotationAverage,
     mollify,
     mollify_preserves_monotone,
     sup_distance,

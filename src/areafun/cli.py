@@ -24,8 +24,9 @@ Every number in a spec must be finite.
 A ``poly:`` expression may use int and float literals, the variables
 x1..xn, unary + and -, binary +, - and *, / by a nonzero constant, ** or ^
 to a constant non-negative integer power, and parentheses.  Anything else
-(function calls, names such as pi, fractional or negative powers) is a
-usage error.
+(function calls, names such as pi, fractional or negative powers, exponents
+above 256, products of more than 100,000 term pairs or with integers beyond
+2,048 bits) is a usage error.
 """
 
 import argparse
@@ -130,12 +131,30 @@ def _float(text, what):
     return vals[0]
 
 
+# bounds on the work of expanding a ``poly:`` spec: the largest exponent, the
+# most term pairs one product may multiply out, and the widest exact integer
+# coefficient a product may form (a finite float has fewer than 1,025 bits)
+POLY_MAX_EXPONENT = 256
+POLY_MAX_PAIRS = 100_000
+POLY_MAX_BITS = 2048
+
+
 def _parse_poly(expr, n):
     """Exponent tuple -> coefficient dict of a ``poly:`` expression in x1..xn;
-    integers stay exact, ``/`` gives floats, like terms merge, zeros drop."""
+    integers stay exact, ``/`` gives floats, like terms merge, zeros drop.
+    Exponents above POLY_MAX_EXPONENT, and products of more than
+    POLY_MAX_PAIRS term pairs or with integer coefficients beyond
+    POLY_MAX_BITS bits, are rejected before they are expanded."""
     one, names = (0,) * n, {f"x{k + 1}": k for k in range(n)}
 
+    def bits(p):
+        return max((c.bit_length() for c in p.values() if type(c) is int), default=0)
+
     def mul(a, b):
+        if len(a) * len(b) > POLY_MAX_PAIRS:
+            raise fail(f"a product of {len(a)} by {len(b)} terms exceeds {POLY_MAX_PAIRS} pairs")
+        if bits(a) + bits(b) > POLY_MAX_BITS:
+            raise fail(f"integer coefficients beyond {POLY_MAX_BITS} bits")
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
@@ -166,6 +185,8 @@ def _parse_poly(expr, n):
             if isinstance(node.op, ast.Div) and k:
                 return {e: c / k for e, c in a.items()}
             if isinstance(node.op, ast.Pow) and type(k) is int and k >= 0:
+                if k > POLY_MAX_EXPONENT:
+                    raise fail(f"exponent {k} exceeds {POLY_MAX_EXPONENT}")
                 out = {one: 1}
                 for bit in bin(k)[2:]:  # square-and-multiply
                     out = mul(out, out)
@@ -315,7 +336,10 @@ class Settings:
         return self.get(key, default, cast=lambda s: int(s, 0))
 
     def get_float(self, key, default=None):
-        return self.get(key, default, cast=float)
+        raw = self._raw(key)
+        if raw is None:
+            return default
+        return _float(raw, f"--{key.replace('_', '-')}")
 
     def get_floats(self, key, default=None):
         raw = self._raw(key)

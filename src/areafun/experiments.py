@@ -65,6 +65,22 @@ from .symfun import contract2, elem_sym_batch, trace_pair
 # -- localized oscillating perturbations ---------------------------------------
 
 
+class Oscillation(SphericalFunction):
+    """The separable function built by oscillating_phi, with the patch it
+    lives on: center u0, axis v, tangent frame (first column v), patch radius
+    rho, amplitude eps and wave smoothing eta, as _oscillation_panel_grid
+    reads them."""
+
+    def __init__(self, base, center, axis, frame, patch_radius, amplitude, wave_smoothing):
+        super().__init__(base.n, base._phi, base._grad, base._hess, base.label)
+        self.center = center
+        self.axis = axis
+        self.frame = frame
+        self.patch_radius = float(patch_radius)
+        self.amplitude = float(amplitude)
+        self.wave_smoothing = float(wave_smoothing)
+
+
 def oscillating_phi(u0, v, rho, eps, n, eta=0.0):
     """Zero-mean oscillation of amplitude eps along tangent direction v at u0.
 
@@ -123,14 +139,9 @@ def oscillating_phi(u0, v, rho, eps, n, eta=0.0):
     profiles = [wave] + [cut] * (n - 2) + [ramp_cutoff(0.3, 0.5)]
     dirs = np.column_stack([frame, u0]).T
     label = f"osc[eps={eps:g},rho={rho:g},eta={eta:g}]"
-    phi = separable_function(n, dirs, profiles, label=label)
-    phi.center = u0
-    phi.axis = v
-    phi.frame = frame
-    phi.patch_radius = float(rho)
-    phi.amplitude = float(eps)
-    phi.wave_smoothing = float(eta)
-    return phi
+    return Oscillation(
+        separable_function(n, dirs, profiles, label=label), u0, v, frame, rho, eps, eta
+    )
 
 
 # -- corpus ---------------------------------------------------------------------

@@ -27,7 +27,7 @@ from scipy.linalg import expm
 
 from .conditions import check_mi
 from .errors import DomainError, KernelError
-from .sphere import SphericalFunction, combination, compose_orthogonal
+from .sphere import SphericalFunction
 
 
 def psi_profile(t):
@@ -66,34 +66,28 @@ class MollifierKernel:
         rng = np.random.default_rng(seed)
         d = n * (n - 1) // 2
         iu = np.triu_indices(n, 1)
-        rotations = []
-        dists = []
         # propose from a skew ball slightly wider than the profile support and
         # reject by the actual rotation distance; ||exp(X) - id||_F <= ||X||_F,
         # so over-proposing by 10% covers the support with room to spare
         proposal_radius = 1.1 / k
-        for _ in range(samples):
+        X = np.zeros((samples, n, n))
+        for s in range(samples):
             v = rng.normal(size=d)
             v /= np.linalg.norm(v)
             # uniform in the ball: radius ~ U^(1/d); |X|_F = sqrt(2)|v|
-            r = proposal_radius * rng.uniform() ** (1.0 / d) / math.sqrt(2.0)
-            X = np.zeros((n, n))
-            X[iu] = v * r
-            X -= X.T
-            rho = expm(X)
-            dist = float(np.linalg.norm(rho - np.eye(n)))
-            if k * k * dist * dist >= 1.0:
-                continue
-            rotations.append(rho)
-            dists.append(dist)
+            X[s][iu] = v * (proposal_radius * rng.uniform() ** (1.0 / d) / math.sqrt(2.0))
+        X -= X.transpose(0, 2, 1)
+        rho = expm(X)
+        dists = np.linalg.norm(rho - np.eye(n), axis=(1, 2))
+        inside = k * k * dists * dists < 1.0
+        rotations, dists = rho[inside], dists[inside]
         accepted = len(rotations)
         if accepted < max(10.0, samples * min_acceptance):
             raise KernelError(
                 f"kernel starvation: {accepted}/{samples} rotations accepted; "
                 "decrease k or increase samples"
             )
-        rotations = np.stack(rotations)
-        w = psi_profile((np.asarray(dists) * k) ** 2)
+        w = psi_profile((dists * k) ** 2)
         total = float(np.sum(w))
         if total <= 0.0:
             raise KernelError("all kernel weights vanished")
@@ -109,22 +103,63 @@ class MollifierKernel:
         )
 
 
-def mollify(f, k, samples=200, seed=0, kernel=None):
-    """Rotation average of f with the scale-k kernel.
+# rotated points per evaluation block: bounds the (points, n, n) Hessian stack
+_ROTATION_BLOCK = 1 << 13
 
-    Returns a SphericalFunction evaluating sum_m w_m f(rho_m u); derivatives
-    pass through the finite sum term by term, so the result inherits f's
-    derivative mode.  The kernel is fixed per (k, seed): repeated calls with
-    the same arguments define the same function.
+
+class RotationAverage(SphericalFunction):
+    """u -> sum_m w_m f(R_m u) over the rotations and weights of a kernel.
+
+    f is evaluated once per node block on the stacked rotated points
+    Y R_cat^T, with R_cat = [R_1; ...; R_M] of shape (M n, n) and at most
+    _ROTATION_BLOCK rotated points per block.  The weights then reduce each
+    block in one product: values against w, gradients sum_m w_m R_m^T
+    grad f(R_m y) and Hessians sum_m w_m R_m^T Hess f(R_m y) R_m against the
+    weighted stack [w_1 R_1; ...; w_M R_M].  The average inherits f's
+    derivative mode: a finite-difference f gives a finite-difference average.
+    """
+
+    def __init__(self, f, kernel):
+        if kernel.n != f.n:
+            raise DomainError("kernel and function dimensions differ")
+        self.kernel = kernel
+        n, R, w = f.n, kernel.rotations, kernel.weights
+        R_cat = R.reshape(-1, n)
+        W_cat = (w[:, None, None] * R).reshape(-1, n)
+        block = max(1, _ROTATION_BLOCK // len(R))
+
+        def average(part, reduce, shape):
+            def evaluate(Y):
+                out = np.empty((len(Y),) + shape)
+                for s in range(0, len(Y), block):
+                    Yb = Y[s : s + block]
+                    vals = np.asarray(part((Yb @ R_cat.T).reshape(-1, n)), dtype=float)
+                    out[s : s + block] = reduce(vals.reshape((len(Yb), -1) + shape))
+                return out
+
+            return evaluate
+
+        phi = average(f._phi, lambda V: V @ w, ())
+        grad = hess = None
+        if f.derivative_mode == "analytic":
+            grad = average(f._grad, lambda G: G.reshape(len(G), -1) @ W_cat, (n,))
+            hess = average(
+                f._hess, lambda H: W_cat.T @ (H @ R).reshape(len(H), -1, n), (n, n)
+            )
+        super().__init__(n, phi, grad, hess, label=f"{f.label}~k{kernel.k}")
+
+
+def mollify(f, k, samples=200, seed=0, kernel=None):
+    """Rotation average of f with the scale-k kernel, as a RotationAverage.
+
+    The result evaluates sum_m w_m f(rho_m u); derivatives pass through the
+    finite sum term by term, so it inherits f's derivative mode.  The kernel
+    is fixed per (k, seed): repeated calls with the same arguments define the
+    same function.
     """
     if kernel is None:
         kernel = MollifierKernel.build(f.n, k, samples, seed)
-    if kernel.n != f.n:
-        raise DomainError("kernel and function dimensions differ")
-    parts = [compose_orthogonal(f, rho) for rho in kernel.rotations]
-    out = combination(list(kernel.weights), parts, label=f"{f.label}~k{kernel.k}")
-    out.kernel = kernel
-    return out
+    return RotationAverage(f, kernel)
 
 
 def mollify_preserves_monotone(f, i, k, grid, samples=200, seed=0, tol=None):

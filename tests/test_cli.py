@@ -104,7 +104,8 @@ class TestPolyParser:
             "x4", "x0", "y", "sin(x1)", "pi*x1", "E", "sqrt(2)", "x1/x2", "x1/0",
             "x1^0.5", "x1^-1", "x1^x2", "", "x1^", "I*x1", "zoo*x1", "oo",
             "x1==1", "lambda: 1", "1e999*x1", "True", "1j", "x1 % 2", "2^2000",
-            "x1^(2^70)", "-" * 5000 + "x1",
+            "x1^(2^70)", "-" * 5000 + "x1", "9^9^9", "(x1+x2+x3+1)^60",
+            "(((2^256)^256)^256)^256",
         ],
     )
     def test_rejects(self, expr):
@@ -470,6 +471,18 @@ class TestExitCodes:
             ["mi-check", "--f", "const:1", "--n", "3", "--i", "9", "--grid", "512"],
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mi-check", "--f", "const:1", "--n", "3", "--i", "1", "--tol", "nan"],
+            ["mi-check", "--f", 'poly:"x1^2-x2^2"', "--n", "3", "--i", "2", "--tol", "inf"],
+            ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2", "--factor", "nan"],
+        ],
+    )
+    def test_non_finite_float_flags_exit_2(self, capsys, argv):
+        code, doc = run_cli(capsys, argv + ["--grid", "256"])
+        assert code == EXIT_USAGE and doc is None
 
     def test_argparse_rejections_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from areafun.errors import DomainError
 from areafun.mollify import (
     MollifierKernel,
     Profile,
+    RotationAverage,
     mollify,
     mollify_preserves_monotone,
     plateau_cutoff,
@@ -26,6 +29,8 @@ from areafun.sphere import (
     from_callable,
     make_grid,
     polynomial,
+    q_batch,
+    quadratic_support,
     tangent_frame,
 )
 
@@ -167,6 +172,85 @@ class TestMollify:
         f = polynomial(3, {(0, 0, 0): 1.0})
         with pytest.raises(DomainError):
             mollify(f, 8, kernel=ker)
+
+
+def weights_for(n):
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    u0 = np.zeros(n)
+    u0[-1] = 1.0
+    terms = {(0,) * n: 1.0}
+    for _ in range(6):
+        terms[tuple(int(e) for e in rng.integers(0, 4, size=n))] = rng.normal()
+    return [
+        polynomial(n, terms, label="poly"),
+        bump(n, u0, 3.0),
+        quadratic_support(B @ B.T + np.eye(n)),
+    ]
+
+
+def unit_points(n, m, seed=0):
+    U = np.random.default_rng(seed).normal(size=(m, n))
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+class TestRotationAverage:
+    """The vectorised average against the explicit sum_k w_k f(R_k u)."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_reference_loop(self, n):
+        ker = MollifierKernel.build(n, 6, samples=150, seed=n)
+        # more nodes than one block holds, so block edges are crossed
+        U = unit_points(n, 400)
+        for f in weights_for(n):
+            fk = mollify(f, 6, kernel=ker)
+            assert isinstance(fk, RotationAverage) and fk.kernel is ker
+            assert fk.derivative_mode == "analytic"
+            val = sum(w * f._phi(U @ R.T) for w, R in zip(ker.weights, ker.rotations))
+            grad = sum(w * f._grad(U @ R.T) @ R for w, R in zip(ker.weights, ker.rotations))
+            hess = sum(
+                w * R.T @ f._hess(U @ R.T) @ R for w, R in zip(ker.weights, ker.rotations)
+            )
+            q = sum(
+                w * q_batch(compose_orthogonal(f, R), U)
+                for w, R in zip(ker.weights, ker.rotations)
+            )
+            for got, want in [
+                (fk.value(U), val),
+                (fk._grad(U), grad),
+                (fk._hess(U), hess),
+                (q_batch(fk, U), q),
+            ]:
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f.label
+
+    def test_finite_difference_input_stays_finite_difference(self):
+        ker = MollifierKernel.build(3, 8, samples=120, seed=1)
+        f = polynomial(3, {(2, 0, 0): 1.0, (0, 1, 1): -0.5, (0, 0, 0): 1.0})
+        g = from_callable(3, f.value)
+        gk = mollify(g, 8, kernel=ker)
+        assert gk.derivative_mode == "finite-difference"
+        assert gk.kernel is ker
+        U = unit_points(3, 300, seed=2)
+        want = sum(w * f.value(U @ R.T) for w, R in zip(ker.weights, ker.rotations))
+        assert np.max(np.abs(gk.value(U) - want)) <= 1e-12 * np.max(np.abs(want))
+        # its differences approximate the analytic average's forms
+        fk = mollify(f, 8, kernel=ker)
+        assert np.max(np.abs(q_batch(gk, U[:20]) - q_batch(fk, U[:20]))) < 1e-4
+
+    def test_q_batch_memory_bounded_by_block(self):
+        # the rotated points are evaluated in blocks, so the peak does not
+        # grow with nodes x rotations (8,192 x ~150 here)
+        grid = make_grid(3, 8192)
+        fk = mollify(saddle(0.42), 8, samples=200, seed=0)
+        q_batch(fk, grid.nodes[:64], grid.frames()[:64])  # warm
+        tracemalloc.start()
+        try:
+            q_batch(fk, grid.nodes, grid.frames())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPreservation:
