@@ -43,7 +43,6 @@ from .experiments import (
     HuntReport,
     MonotonicityReport,
     SegmentProbe,
-    bm_second_order_test,
     bm_segment_test,
     bm_violation_hunt,
     corpus,

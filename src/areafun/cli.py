@@ -52,7 +52,6 @@ from .errors import (
 )
 from .experiments import (
     bm_segment_test,
-    bm_second_order_test,
     bm_violation_hunt,
     corpus,
     monotonicity_counterexample,
@@ -60,7 +59,7 @@ from .experiments import (
     nested_pairs,
     theorem_roundtrip,
 )
-from .functionals import functional_value
+from .functionals import concavity_criterion, functional_value
 from .identities import ibp_symmetry_residual
 from .mollify import mollify, sup_distance
 from .reduction import (
@@ -71,7 +70,15 @@ from .reduction import (
     reduction_grid,
     segment_factor_identity,
 )
-from .sphere import bump, combination, constant, linear, make_grid, polynomial
+from .sphere import (
+    SphericalFunction,
+    bump,
+    combination,
+    constant,
+    linear,
+    make_grid,
+    polynomial,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -371,8 +378,8 @@ def _jsonable(obj):
         }
     if isinstance(obj, SupportBody):
         return obj.label
-    if hasattr(obj, "label") and hasattr(obj, "extension_hessian"):
-        return obj.label  # sphere functions: represented by their label
+    if isinstance(obj, SphericalFunction):
+        return obj.label
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
@@ -426,10 +433,6 @@ def _csv_cell(x):
 # -- shared flag groups -------------------------------------------------------------
 
 
-def _grid_for(n, resolution, seed):
-    return make_grid(n, resolution, seed=seed)
-
-
 def _add_common(p, want_i=True):
     # --f and --i are not argparse-required, so that --config can preset them
     p.add_argument("--f", help="weight function spec")
@@ -445,7 +448,7 @@ def _resolve_common(st, want_i=True):
     if n < 2:
         raise DomainError("ambient dimension must be at least 2")
     res = st.get_int("grid", 65536 if n >= 4 else 8192)
-    grid = _grid_for(n, res, st.get_int("grid_seed", 0))
+    grid = make_grid(n, res, seed=st.get_int("grid_seed", 0))
     if st.get("f") is None:
         raise DomainError("a weight function --f is required")
     out = {"n": n, "grid": grid}
@@ -495,9 +498,7 @@ def cmd_mono_test(args, config):
     st = Settings(args, config)
     c = _resolve_common(st)
     f = parse_function(st.get("f"), c["n"])
-    pairs = nested_pairs(
-        c["n"], st.get_int("pairs", 12), seed=st.get_int("seed", 0), grid=c["grid"]
-    )
+    pairs = nested_pairs(c["n"], st.get_int("pairs", 12), seed=st.get_int("seed", 0))
     rep = monotonicity_test(
         f, c["i"], pairs, c["grid"], tol_factor=st.get_float("tol_factor", 10.0)
     )
@@ -606,7 +607,7 @@ def cmd_bm2_test(args, config):
     f = parse_function(st.get("f"), c["n"])
     body = parse_body(st.get("body", "ball:1"), c["n"])
     phi = parse_function(st.get("phi", 'poly:"x1*x2"'), c["n"])
-    rep = bm_second_order_test(
+    rep = concavity_criterion(
         f, body, phi, c["i"], c["grid"], form=st.get("form", "quadratic")
     )
     emit_json(
@@ -870,7 +871,7 @@ def cmd_corpus(args, config):
     grids = {}
     for n in dims:
         res = st.get_int(f"grid{n}", 65536 if n >= 4 else 8192)
-        grids[n] = _grid_for(n, res, st.get_int("grid_seed", 0))
+        grids[n] = make_grid(n, res, seed=st.get_int("grid_seed", 0))
     rows, summary = theorem_roundtrip(
         entries,
         grids,

@@ -29,7 +29,6 @@ from .bodies import (
 from .conditions import EigenSumScan, check_mi, default_tolerance
 from .errors import DomainError, SearchError
 from .functionals import (
-    concavity_criterion,
     first_variation,
     functional_difference,
     functional_segment,
@@ -72,7 +71,7 @@ class Oscillation(SphericalFunction):
     reads them."""
 
     def __init__(self, base, center, axis, frame, patch_radius, amplitude, wave_smoothing):
-        super().__init__(base.n, base._phi, base._grad, base._hess, base.label)
+        super().__init__(base.n, base._jet, base.label)
         self.center = center
         self.axis = axis
         self.frame = frame
@@ -277,7 +276,7 @@ def default_grids(res3=8192, res4=65536, seed4=1):
 # -- nested pairs and empirical monotonicity -------------------------------------
 
 
-def nested_pairs(n, count, seed=0, grid=None):
+def nested_pairs(n, count, seed=0):
     """Certified nested body pairs (K, L), K inside L.
 
     L = K + r*ball + translation with |shift| <= r/2, so h_L - h_K =
@@ -716,11 +715,6 @@ def linearity_probe(f, body_k, body_l, grid, t_count=11, tol_factor=5.0):
     )
     gap = float(np.max(np.abs(vals - affine) - tol))
     return gap, gap <= 0
-
-
-def bm_second_order_test(f, body, phi, i, grid, form="quadratic"):
-    """Second-order power-concavity criterion at a body; see concavity_criterion."""
-    return concavity_criterion(f, body, phi, i, grid, form=form)
 
 
 # -- second-order violation hunt --------------------------------------------------

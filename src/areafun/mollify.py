@@ -110,13 +110,13 @@ _ROTATION_BLOCK = 1 << 13
 class RotationAverage(SphericalFunction):
     """u -> sum_m w_m f(R_m u) over the rotations and weights of a kernel.
 
-    f is evaluated once per node block on the stacked rotated points
+    f's jet is evaluated once per node block on the stacked rotated points
     Y R_cat^T, with R_cat = [R_1; ...; R_M] of shape (M n, n) and at most
     _ROTATION_BLOCK rotated points per block.  The weights then reduce each
-    block in one product: values against w, gradients sum_m w_m R_m^T
-    grad f(R_m y) and Hessians sum_m w_m R_m^T Hess f(R_m y) R_m against the
-    weighted stack [w_1 R_1; ...; w_M R_M].  The average inherits f's
-    derivative mode: a finite-difference f gives a finite-difference average.
+    block in one product per order: values against w, gradients
+    sum_m w_m R_m^T grad f(R_m y) and Hessians sum_m w_m R_m^T Hess f(R_m y) R_m
+    against the weighted stack [w_1 R_1; ...; w_M R_M].  The average inherits
+    f's derivative mode: a finite-difference f gives a finite-difference average.
     """
 
     def __init__(self, f, kernel):
@@ -127,26 +127,24 @@ class RotationAverage(SphericalFunction):
         R_cat = R.reshape(-1, n)
         W_cat = (w[:, None, None] * R).reshape(-1, n)
         block = max(1, _ROTATION_BLOCK // len(R))
+        reducers = (
+            lambda V: V @ w,
+            lambda G: G.reshape(len(G), -1) @ W_cat,
+            lambda H: W_cat.T @ (H @ R).reshape(len(H), -1, n),
+        )
 
-        def average(part, reduce, shape):
-            def evaluate(Y):
-                out = np.empty((len(Y),) + shape)
-                for s in range(0, len(Y), block):
-                    Yb = Y[s : s + block]
-                    vals = np.asarray(part((Yb @ R_cat.T).reshape(-1, n)), dtype=float)
-                    out[s : s + block] = reduce(vals.reshape((len(Yb), -1) + shape))
-                return out
+        def jet(Y, order):
+            out = [np.empty((len(Y),) + (n,) * k) for k in range(order + 1)]
+            for s in range(0, len(Y), block):
+                Yb = Y[s : s + block]
+                parts = f._jet((Yb @ R_cat.T).reshape(-1, n), order)
+                for k, (d, reduce) in enumerate(zip(parts, reducers)):
+                    out[k][s : s + block] = reduce(d.reshape((len(Yb), -1) + (n,) * k))
+            return tuple(out)
 
-            return evaluate
-
-        phi = average(f._phi, lambda V: V @ w, ())
-        grad = hess = None
-        if f.derivative_mode == "analytic":
-            grad = average(f._grad, lambda G: G.reshape(len(G), -1) @ W_cat, (n,))
-            hess = average(
-                f._hess, lambda H: W_cat.T @ (H @ R).reshape(len(H), -1, n), (n, n)
-            )
-        super().__init__(n, phi, grad, hess, label=f"{f.label}~k{kernel.k}")
+        super().__init__(
+            n, jet, f"{f.label}~k{kernel.k}", analytic=f.derivative_mode == "analytic"
+        )
 
 
 def mollify(f, k, samples=200, seed=0, kernel=None):
@@ -386,38 +384,27 @@ def separable_function(n, directions, profiles, label="sep"):
         raise DomainError("need one n-vector direction per profile")
     J = W.shape[0]
 
-    def parts(Y):
+    def jet(Y, order):
         S = Y @ W.T  # (m, J) linear coordinates
         V = np.stack([profiles[j].fn(S[:, j]) for j in range(J)], axis=1)
-        return S, V
-
-    def phi(Y):
-        _, V = parts(Y)
-        return np.prod(V, axis=1)
-
-    def grad(Y):
-        S, V = parts(Y)
-        G = np.zeros((Y.shape[0], n))
-        for j in range(J):
-            others = np.prod(np.delete(V, j, axis=1), axis=1)
-            G += (profiles[j].d1(S[:, j]) * others)[:, None] * W[j][None, :]
-        return G
-
-    def hess(Y):
-        S, V = parts(Y)
+        if order == 0:
+            return (np.prod(V, axis=1),)
         m = Y.shape[0]
-        H = np.zeros((m, n, n))
-        d1 = np.stack([profiles[j].d1(S[:, j]) for j in range(J)], axis=1)
-        d2 = np.stack([profiles[j].d2(S[:, j]) for j in range(J)], axis=1)
+        d1 = [profiles[j].d1(S[:, j]) for j in range(J)]
+        G = np.zeros((m, n))
+        if order == 2:
+            H = np.zeros((m, n, n))
         for j in range(J):
             others = np.prod(np.delete(V, j, axis=1), axis=1)
-            H += (d2[:, j] * others)[:, None, None] * (W[j][:, None] * W[j][None, :])[
-                None, :, :
-            ]
-            for l in range(j + 1, J):
-                rest = np.prod(np.delete(V, [j, l], axis=1), axis=1)
-                cross = W[j][:, None] * W[l][None, :] + W[l][:, None] * W[j][None, :]
-                H += (d1[:, j] * d1[:, l] * rest)[:, None, None] * cross[None, :, :]
-        return H
+            G += (d1[j] * others)[:, None] * W[j][None, :]
+            if order == 2:
+                H += (profiles[j].d2(S[:, j]) * others)[:, None, None] * (
+                    W[j][:, None] * W[j][None, :]
+                )[None, :, :]
+                for l in range(j + 1, J):
+                    rest = np.prod(np.delete(V, [j, l], axis=1), axis=1)
+                    cross = W[j][:, None] * W[l][None, :] + W[l][:, None] * W[j][None, :]
+                    H += (d1[j] * d1[l] * rest)[:, None, None] * cross[None, :, :]
+        return (np.prod(V, axis=1), G) + ((H,) if order == 2 else ())
 
-    return SphericalFunction(n, phi, grad, hess, label)
+    return SphericalFunction(n, jet, label)

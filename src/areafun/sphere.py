@@ -1,10 +1,11 @@
 """Sphere backbone: spherical functions, tangent frames, Hessian forms, grids.
 
 A function f on the unit sphere S^{n-1} is handled through its 1-homogeneous
-extension fbar(x) = |x| f(x/|x|).  The object carries an *ambient
+extension fbar(x) = |x| f(x/|x|).  The object carries one jet of an *ambient
 representative* phi — any smooth function on a neighbourhood of the sphere
-agreeing with f there — and synthesises gradient and Hessian of fbar from
-phi's via the chain rule for x -> |x| phi(x/|x|).  When no analytic
+agreeing with f there — giving phi's value, gradient and Hessian up to a
+requested order, and synthesises gradient and Hessian of fbar from them via
+the chain rule for x -> |x| phi(x/|x|).  When no analytic
 representative derivatives are available, central finite differences on fbar
 are used instead.
 
@@ -57,15 +58,16 @@ def _as_points(X, n):
 class SphericalFunction:
     """Function on S^{n-1} with derivative access via its homogeneous extension."""
 
-    def __init__(self, n, phi, grad=None, hess=None, label="f"):
+    def __init__(self, n, jet, label="f", analytic=True):
+        """jet(Y, order) returns (phi,), (phi, grad phi) or (phi, grad phi,
+        Hess phi) of the ambient representative at the rows of Y, computing
+        nothing above the requested order.  analytic=False marks a jet that
+        gives values only; derivatives then come from finite differences."""
         if n < 2:
             raise DomainError("ambient dimension must be >= 2")
         self.n = int(n)
-        self._phi = phi
-        self._grad = grad
-        self._hess = hess
+        self._jet = jet
         self.label = label
-        analytic = grad is not None and hess is not None
         self.derivative_mode = "analytic" if analytic else "finite-difference"
 
     def __repr__(self):
@@ -76,7 +78,7 @@ class SphericalFunction:
     def value(self, U):
         """f at unit vectors; accepts (n,) or (m, n)."""
         U2, single = _as_points(U, self.n)
-        vals = np.asarray(self._phi(U2), dtype=float)
+        vals = np.asarray(self._jet(U2, 0)[0], dtype=float)
         return float(vals[0]) if single else vals
 
     def __call__(self, u):
@@ -87,7 +89,7 @@ class SphericalFunction:
         r = np.linalg.norm(X2, axis=1)
         if np.any(r == 0.0):
             raise DomainError("extension undefined at the origin")
-        vals = r * np.asarray(self._phi(X2 / r[:, None]), dtype=float)
+        vals = r * np.asarray(self._jet(X2 / r[:, None], 0)[0], dtype=float)
         return float(vals[0]) if single else vals
 
     # -- derivatives of the 1-homogeneous extension ------------------------
@@ -118,22 +120,22 @@ class SphericalFunction:
             )
         return H[0] if single else H
 
-    def _analytic_parts(self, X):
-        """r = |x|, y = x/r, grad phi(y) and c = phi(y) - <grad phi(y), y>."""
+    def _analytic_parts(self, X, order):
+        """r = |x|, y = x/r, c = phi(y) - <grad phi(y), y> and the top
+        derivative of phi at y: the gradient at order 1, the Hessian at 2."""
         r = np.linalg.norm(X, axis=1)
         Y = X / r[:, None]
-        g = np.asarray(self._grad(Y), dtype=float)
-        return r, Y, g, np.asarray(self._phi(Y), dtype=float) - np.sum(g * Y, axis=1)
+        jet = [np.asarray(d, dtype=float) for d in self._jet(Y, order)]
+        return r, Y, jet[0] - np.sum(jet[1] * Y, axis=1), jet[-1]
 
     def _ext_grad_analytic(self, X):
-        _, Y, g, c = self._analytic_parts(X)
+        _, Y, c, g = self._analytic_parts(X, 1)
         return g + c[:, None] * Y
 
     def _ext_hess_analytic(self, X):
         # chain rule for fbar(x) = r phi(y), y = x/r; the result annihilates
         # the radial direction and is (-1)-homogeneous in r by construction
-        r, Y, _, c = self._analytic_parts(X)
-        H = np.asarray(self._hess(Y), dtype=float)
+        r, Y, c, H = self._analytic_parts(X, 2)
         Hy = (H @ Y[:, :, None])[:, :, 0]
         hyy = np.sum(Hy * Y, axis=1)
         I = np.eye(self.n)
@@ -211,16 +213,12 @@ class SphericalFunction:
 def constant(n, c, label=None):
     c = float(c)
 
-    def phi(Y):
-        return np.full(Y.shape[0], c)
+    def jet(Y, order):
+        return (np.full(len(Y), c),) + tuple(
+            np.zeros((len(Y),) + (n,) * k) for k in range(1, order + 1)
+        )
 
-    def grad(Y):
-        return np.zeros_like(Y)
-
-    def hess(Y):
-        return np.zeros((Y.shape[0], n, n))
-
-    return SphericalFunction(n, phi, grad, hess, label or f"const({c:g})")
+    return SphericalFunction(n, jet, label or f"const({c:g})")
 
 
 def linear(n, v, label=None):
@@ -228,16 +226,16 @@ def linear(n, v, label=None):
     if v.shape != (n,):
         raise DomainError(f"direction must have shape ({n},)")
 
-    def phi(Y):
-        return Y @ v
+    def jet(Y, order):
+        val = Y @ v
+        if order == 0:
+            return (val,)
+        grad = np.broadcast_to(v, Y.shape).copy()
+        if order == 1:
+            return val, grad
+        return val, grad, np.zeros((len(Y), n, n))
 
-    def grad(Y):
-        return np.broadcast_to(v, Y.shape).copy()
-
-    def hess(Y):
-        return np.zeros((Y.shape[0], n, n))
-
-    return SphericalFunction(n, phi, grad, hess, label or "linear")
+    return SphericalFunction(n, jet, label or "linear")
 
 
 def _monomial_evaluator(E, C, shape):
@@ -271,7 +269,8 @@ def polynomial(n, terms, label=None):
     polynomial itself; the homogeneous extension of a degree-d monomial
     restriction is |x|^(1-d) times the monomial, which the generic chain rule
     reproduces exactly.  Value, gradient and Hessian are each one coefficient
-    matrix, with 1, n and n^2 columns, over its own monomial table.
+    matrix, with 1, n and n^2 columns, over its own monomial table; the jet
+    evaluates the tables up to the requested order.
     """
     for e in terms:
         if len(e) != n or any(not 0 <= int(k) < 2**63 for k in e):
@@ -289,7 +288,9 @@ def polynomial(n, terms, label=None):
         E, inv = np.unique(E[keep], axis=0, return_inverse=True)
         C = (np.arange(len(E))[:, None] == inv.reshape(-1)) @ C[keep]
         tables.append(_monomial_evaluator(E, C, (n,) * order))
-    return SphericalFunction(n, *tables, label or "poly")
+    return SphericalFunction(
+        n, lambda Y, order: tuple(t(Y) for t in tables[: order + 1]), label or "poly"
+    )
 
 
 def quadratic_support(M, label=None):
@@ -303,21 +304,18 @@ def quadratic_support(M, label=None):
         raise DomainError("quadratic form must be positive definite")
     M = 0.5 * (M + M.T)
 
-    def phi(Y):
-        return np.sqrt(np.einsum("mi,ij,mj->m", Y, M, Y))
-
-    def grad(Y):
-        h = phi(Y)
-        return (Y @ M) / h[:, None]
-
-    def hess(Y):
-        h = phi(Y)
+    def jet(Y, order):
+        h = np.sqrt(np.einsum("mi,ij,mj->m", Y, M, Y))
+        if order == 0:
+            return (h,)
         MY = Y @ M
-        return M[None, :, :] / h[:, None, None] - (
+        if order == 1:
+            return h, MY / h[:, None]
+        return h, MY / h[:, None], M[None, :, :] / h[:, None, None] - (
             MY[:, :, None] * MY[:, None, :]
         ) / (h ** 3)[:, None, None]
 
-    return SphericalFunction(n, phi, grad, hess, label or "quadratic_support")
+    return SphericalFunction(n, jet, label or "quadratic_support")
 
 
 def bump(n, u0, kappa, label=None):
@@ -336,53 +334,43 @@ def bump(n, u0, kappa, label=None):
     if kappa <= 0:
         raise DomainError("bump width kappa must be positive")
 
-    def phi(Y):
-        return np.exp(2.0 * kappa * (Y @ u0 - 1.0))
-
-    def grad(Y):
-        return (2.0 * kappa) * phi(Y)[:, None] * u0[None, :]
-
-    def hess(Y):
-        return (4.0 * kappa * kappa) * phi(Y)[:, None, None] * (
+    def jet(Y, order):
+        p = np.exp(2.0 * kappa * (Y @ u0 - 1.0))
+        if order == 0:
+            return (p,)
+        grad = (2.0 * kappa) * p[:, None] * u0[None, :]
+        if order == 1:
+            return p, grad
+        return p, grad, (4.0 * kappa * kappa) * p[:, None, None] * (
             u0[:, None] * u0[None, :]
         )[None, :, :]
 
-    return SphericalFunction(n, phi, grad, hess, label or f"bump(k={kappa:g})")
+    return SphericalFunction(n, jet, label or f"bump(k={kappa:g})")
 
 
 def combination(coeffs, funcs, label=None):
-    """Linear combination sum_j coeffs[j] * funcs[j]; analytic if all parts are."""
+    """Linear combination sum_j coeffs[j] * funcs[j]; analytic if all parts are.
+
+    The jet adds the parts' jets one part at a time, so at most one part's
+    Hessian stack is alive beside the running sum."""
     if len(coeffs) != len(funcs) or not funcs:
         raise DomainError("need matching, nonempty coefficient/function lists")
     n = funcs[0].n
     if any(f.n != n for f in funcs):
         raise DomainError("combination: mixed ambient dimensions")
     coeffs = [float(c) for c in coeffs]
-    analytic = all(f.derivative_mode == "analytic" for f in funcs)
 
-    def phi(Y):
-        out = coeffs[0] * np.asarray(funcs[0]._phi(Y), dtype=float)
+    def jet(Y, order):
+        out = [coeffs[0] * d for d in funcs[0]._jet(Y, order)]
         for c, f in zip(coeffs[1:], funcs[1:]):
-            out = out + c * np.asarray(f._phi(Y), dtype=float)
-        return out
-
-    grad = hess = None
-    if analytic:
-
-        def grad(Y):
-            out = coeffs[0] * np.asarray(funcs[0]._grad(Y), dtype=float)
-            for c, f in zip(coeffs[1:], funcs[1:]):
-                out = out + c * np.asarray(f._grad(Y), dtype=float)
-            return out
-
-        def hess(Y):
-            out = coeffs[0] * np.asarray(funcs[0]._hess(Y), dtype=float)
-            for c, f in zip(coeffs[1:], funcs[1:]):
-                out = out + c * np.asarray(f._hess(Y), dtype=float)
-            return out
+            for k, d in enumerate(f._jet(Y, order)):
+                out[k] += c * d
+        return tuple(out)
 
     lab = label or "(" + " + ".join(f"{c:g}*{f.label}" for c, f in zip(coeffs, funcs)) + ")"
-    return SphericalFunction(n, phi, grad, hess, lab)
+    return SphericalFunction(
+        n, jet, lab, analytic=all(f.derivative_mode == "analytic" for f in funcs)
+    )
 
 
 def compose_orthogonal(f, R, label=None):
@@ -392,29 +380,27 @@ def compose_orthogonal(f, R, label=None):
     if R.shape != (n, n) or not np.allclose(R @ R.T, np.eye(n), atol=1e-10):
         raise DomainError("expected an orthogonal matrix")
 
-    def phi(Y):
-        return np.asarray(f._phi(Y @ R.T), dtype=float)
+    def jet(Y, order):
+        out = list(f._jet(Y @ R.T, order))
+        if order >= 1:
+            out[1] = out[1] @ R
+        if order == 2:
+            out[2] = R.T @ out[2] @ R
+        return tuple(out)
 
-    grad = hess = None
-    if f.derivative_mode == "analytic":
-
-        def grad(Y):
-            return np.asarray(f._grad(Y @ R.T), dtype=float) @ R
-
-        def hess(Y):
-            return R.T @ np.asarray(f._hess(Y @ R.T), dtype=float) @ R
-
-    return SphericalFunction(n, phi, grad, hess, label or f"{f.label}∘R")
+    return SphericalFunction(
+        n, jet, label or f"{f.label}∘R", analytic=f.derivative_mode == "analytic"
+    )
 
 
 def from_callable(n, fn, label=None):
     """Wrap a plain unit-vector callable; derivatives fall back to differences."""
-
-    def phi(Y):
-        vals = fn(Y)
-        return np.asarray(vals, dtype=float)
-
-    return SphericalFunction(n, phi, None, None, label or "callable")
+    return SphericalFunction(
+        n,
+        lambda Y, order: (np.asarray(fn(Y), dtype=float),),
+        label or "callable",
+        analytic=False,
+    )
 
 
 # -- tangent frames and Q matrices ------------------------------------------
@@ -476,8 +462,10 @@ def q_batch(f, U, frame_stack=None):
     if f.derivative_mode != "analytic":
         Q = Et @ f.extension_hessian(U) @ E
     else:
-        r, Y, _, c = f._analytic_parts(U)
-        Q = Et @ np.asarray(f._hess(Y), dtype=float) @ E / r[:, None, None]
+        r, _, c, H = f._analytic_parts(U, 2)
+        Q = Et @ H @ E
+        del H  # freed before Q is scaled and symmetrised in place
+        Q /= r[:, None, None]
         diag = np.arange(Q.shape[-1])
         Q[:, diag, diag] += (c / r)[:, None]
         finite = np.isfinite(Q).reshape(len(Q), -1).all(axis=1)
@@ -486,7 +474,9 @@ def q_batch(f, U, frame_stack=None):
             raise EvaluationError(
                 f"non-finite Hessian form of {f.label} at node {bad}: u={U[bad]}"
             )
-    return 0.5 * (Q + Q.transpose(0, 2, 1))
+    Q += Q.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    Q *= 0.5
+    return Q
 
 
 # -- quadrature grids --------------------------------------------------------

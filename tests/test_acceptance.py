@@ -215,7 +215,7 @@ def test_criterion_06_first_order_linearity(entries, grids, by_label):
     f4 = [by_label[l].f for l in ("poly2-4d-0", "poly2-4d-1", "const4-1", "bump4")]
     consistent = total = 0
     for n, count, fs in ((3, 12, f3), (4, 8, f4)):
-        pairs = nested_pairs(n, count, seed=60 + n, grid=grids[n])
+        pairs = nested_pairs(n, count, seed=60 + n)
         for k, (K, L) in enumerate(pairs):
             _, good = linearity_probe(fs[k % len(fs)], K, L, grids[n], t_count=9, tol_factor=5.0)
             consistent += good
@@ -232,7 +232,7 @@ def test_criterion_07_power_concavity_support_weights(grids):
     rng = np.random.default_rng(77)
     seg_ok = seg_tot = 0
     for n, num in ((3, 10), (4, 10)):
-        pairs = nested_pairs(n, num, seed=70 + n, grid=grids[n])
+        pairs = nested_pairs(n, num, seed=70 + n)
         for k, (K, L) in enumerate(pairs):
             M = ellipsoid(rng.uniform(0.6, 1.8, size=n))
             i = 2 if n == 3 else (2 + k % 2)
@@ -241,7 +241,7 @@ def test_criterion_07_power_concavity_support_weights(grids):
             seg_tot += 1
     crit_ok = crit_tot = 0
     for n, num in ((3, 10), (4, 10)):
-        bodies = [K for K, _ in nested_pairs(n, num, seed=75 + n, grid=grids[n])]
+        bodies = [K for K, _ in nested_pairs(n, num, seed=75 + n)]
         for k, K in enumerate(bodies):
             M = ellipsoid(rng.uniform(0.6, 1.8, size=n))
             terms = {}

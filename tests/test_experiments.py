@@ -11,7 +11,6 @@ from areafun.bodies import ball, ellipsoid
 from areafun.conditions import EigenSumScan, check_mi
 from areafun.errors import DomainError, SearchError
 from areafun.experiments import (
-    bm_second_order_test,
     bm_segment_test,
     bm_violation_hunt,
     check_nested,
@@ -23,7 +22,6 @@ from areafun.experiments import (
     oscillating_phi,
     theorem_roundtrip,
 )
-from areafun.functionals import concavity_criterion
 from areafun.sphere import constant, make_grid, polynomial, q_batch, tangent_frame
 
 E3 = np.eye(3)
@@ -190,14 +188,6 @@ class TestSegmentProbes:
             by_label["poly2-0"].f, ball(3), ellipsoid([1.4, 0.9, 0.7]), grid3
         )
         assert consistent, gap
-
-    def test_second_order_passthrough(self, grid3):
-        f = constant(3, 1.0)
-        K = ellipsoid([1.2, 1.0, 0.9])
-        phi = oscillating_phi(E3[2], E3[0], 0.3, 0.02, 3, eta=0.25)
-        a = bm_second_order_test(f, K, phi, 2, grid3)
-        b = concavity_criterion(f, K, phi, 2, grid3)
-        assert a == b
 
 
 class TestViolationHunt:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from areafun import sphere
 from areafun.errors import EvaluationError
+from areafun.mollify import _ROTATION_BLOCK, MollifierKernel, mollify
 from areafun.symfun import (
     cofactor_batch,
     contract2_batch,
@@ -170,14 +171,41 @@ class TestTangentFrameForm:
             np.testing.assert_allclose(sphere.q_matrix(f, U[5]), Q[5], rtol=0, atol=tol)
 
     def test_nan_hessian_names_first_bad_node(self):
-        def hess(Y):
+        def jet(Y, order):
             H = np.zeros((len(Y), 3, 3))
             H[[7, 11], 0, 1] = np.nan
-            return H
+            return (np.ones(len(Y)), np.zeros_like(Y), H)[: order + 1]
 
-        f = sphere.SphericalFunction(
-            3, lambda Y: np.ones(len(Y)), lambda Y: np.zeros_like(Y), hess, "nan-hessian"
-        )
+        f = sphere.SphericalFunction(3, jet, "nan-hessian")
         nodes = sphere.make_grid(3, 32).nodes
         with pytest.raises(EvaluationError, match="nan-hessian at node 7"):
             sphere.q_batch(f, nodes)
+
+    def test_q_batch_evaluates_each_jet_once(self, monkeypatch):
+        nodes = sphere.make_grid(3, 400).nodes
+        # a rotation average calls its inner jet once per node block
+        inner = sphere.polynomial(3, {(2, 0, 0): 1.0, (0, 1, 1): -0.5})
+        orders = []
+
+        def counted(Y, order):
+            orders.append(order)
+            return inner._jet(Y, order)
+
+        ker = MollifierKernel.build(3, 6, samples=150, seed=3)
+        fk = mollify(sphere.SphericalFunction(3, counted, "counted"), 6, kernel=ker)
+        blocks = -(-len(nodes) // (_ROTATION_BLOCK // len(ker.rotations)))
+        sphere.q_batch(fk, nodes)
+        assert blocks > 1 and orders == [2] * blocks
+        orders.clear()
+        fk.value(nodes)  # a value-only call asks for no derivatives
+        assert orders == [0] * blocks
+        # quadratic_support forms its quadratic form once per evaluation
+        einsum, forms = np.einsum, []
+
+        def counting_einsum(subscripts, *operands, **kwargs):
+            forms.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        sphere.q_batch(sphere.quadratic_support(np.diag([1.0, 2.0, 3.0])), nodes)
+        assert forms.count("mi,ij,mj->m") == 1

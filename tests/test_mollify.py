@@ -206,19 +206,19 @@ class TestRotationAverage:
             fk = mollify(f, 6, kernel=ker)
             assert isinstance(fk, RotationAverage) and fk.kernel is ker
             assert fk.derivative_mode == "analytic"
-            val = sum(w * f._phi(U @ R.T) for w, R in zip(ker.weights, ker.rotations))
-            grad = sum(w * f._grad(U @ R.T) @ R for w, R in zip(ker.weights, ker.rotations))
-            hess = sum(
-                w * R.T @ f._hess(U @ R.T) @ R for w, R in zip(ker.weights, ker.rotations)
-            )
+            jets = [(w, R, f._jet(U @ R.T, 2)) for w, R in zip(ker.weights, ker.rotations)]
+            val = sum(w * v for w, _, (v, _, _) in jets)
+            grad = sum(w * g @ R for w, R, (_, g, _) in jets)
+            hess = sum(w * R.T @ H @ R for w, R, (_, _, H) in jets)
+            _, fk_grad, fk_hess = fk._jet(U, 2)
             q = sum(
                 w * q_batch(compose_orthogonal(f, R), U)
                 for w, R in zip(ker.weights, ker.rotations)
             )
             for got, want in [
                 (fk.value(U), val),
-                (fk._grad(U), grad),
-                (fk._hess(U), hess),
+                (fk_grad, grad),
+                (fk_hess, hess),
                 (q_batch(fk, U), q),
             ]:
                 assert got.shape == want.shape
