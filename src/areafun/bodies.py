@@ -83,7 +83,11 @@ def ellipsoid(semi_axes, label=None):
     a = np.asarray(semi_axes, dtype=float)
     if a.ndim != 1 or len(a) < 2 or np.any(a <= 0):
         raise DomainError("need at least two positive semi-axes")
-    f = sphere.quadratic_support(np.diag(a * a), label="h_ellipsoid")
+    with np.errstate(over="ignore"):
+        squares = a * a
+    if not np.isfinite(squares).all():
+        raise DomainError("semi-axes must be finite with finite squares")
+    f = sphere.quadratic_support(np.diag(squares), label="h_ellipsoid")
     return SupportBody(f, label=label or "E(" + ",".join(f"{x:g}" for x in a) + ")")
 
 

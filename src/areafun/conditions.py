@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError
 from .sphere import q_batch, q_matrix, sphere_area, tangent_frame
@@ -112,6 +111,63 @@ def eigen_sum(f, u, i):
     return float(np.sum(lam[: f.n - i]))
 
 
+def _nelder_mead(func, sim, maxiter, xatol, fatol):
+    """Minimise func from the simplex sim, shape (d+1, d); returns (x, f(x)).
+
+    Nelder & Mead (Comput. J. 7(4), 1965) with reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2.  A port of scipy's `_minimize_neldermead`
+    without bounds or adaptation: the same update expressions, argsort
+    reordering and stopping test, so the iterates are bit-identical.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(sim, dtype=float)
+    N = sim.shape[1]
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    # sorted twice, as in scipy: argsort is not stable, so ties may reorder
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = func(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], float(np.min(fsim))
+
+
 def _refine_worst(f, i, u0, spacing):
     """Gradient-free descent of the eigenvalue sum on a chart around u0."""
     E = tangent_frame(u0)
@@ -124,19 +180,9 @@ def _refine_worst(f, i, u0, spacing):
     simplex = np.zeros((d + 1, d))
     for k in range(d):
         simplex[k + 1, k] = spacing
-    res = minimize(
-        objective,
-        np.zeros(d),
-        method="Nelder-Mead",
-        options={
-            "maxiter": 50,
-            "initial_simplex": simplex,
-            "xatol": 1e-9,
-            "fatol": 1e-12,
-        },
-    )
-    v = u0 + E @ res.x
-    return float(res.fun), v / np.linalg.norm(v)
+    x, fun = _nelder_mead(objective, simplex, maxiter=50, xatol=1e-9, fatol=1e-12)
+    v = u0 + E @ x
+    return fun, v / np.linalg.norm(v)
 
 
 def check_mi(f, i, grid, tol=None, refine=True, scan=None):

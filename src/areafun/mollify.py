@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .conditions import check_mi
 from .errors import DomainError, KernelError
@@ -37,6 +36,21 @@ def psi_profile(t):
     inside = t < 1.0
     out[inside] = np.exp(1.0 / (t[inside] - 1.0))
     return out
+
+
+def _skew_expm(X):
+    """exp(X) for a stack (m, n, n) of skew matrices with |X|_F <= 1.1.
+
+    Horner form of the degree-24 Taylor sum, I + X (I + X/2 (I + ... (I + X/24))).
+    MollifierKernel.build proposes |X|_F <= 1.1/k <= 1.1 by construction; there
+    the remainder is below 1.1^25/25! * e^1.1 < 1e-23, far below rounding, so
+    no scaling and squaring is needed.
+    """
+    eye = np.eye(X.shape[-1])
+    R = eye
+    for j in range(24, 0, -1):
+        R = eye + (X @ R) / j
+    return R
 
 
 @dataclass
@@ -77,7 +91,7 @@ class MollifierKernel:
             # uniform in the ball: radius ~ U^(1/d); |X|_F = sqrt(2)|v|
             X[s][iu] = v * (proposal_radius * rng.uniform() ** (1.0 / d) / math.sqrt(2.0))
         X -= X.transpose(0, 2, 1)
-        rho = expm(X)
+        rho = _skew_expm(X)
         dists = np.linalg.norm(rho - np.eye(n), axis=(1, 2))
         inside = k * k * dists * dists < 1.0
         rotations, dists = rho[inside], dists[inside]

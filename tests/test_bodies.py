@@ -44,6 +44,12 @@ class TestConstruction:
         want = math.sqrt(u[0] ** 2 + 4 * u[1] ** 2 + 9 * u[2] ** 2)
         assert E.support(u) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_ellipsoid_rejects_axes_with_infinite_squares(self):
+        for bad in ([1e200, 1.0, 1.0], [1.0, math.inf, 1.0], [1.0, math.nan, 1.0]):
+            with pytest.raises(DomainError):
+                ellipsoid(bad)
+
     def test_minkowski_sum_supports_add(self):
         K = ellipsoid([1.0, 2.0, 1.5])
         L = ball(3, 0.5)

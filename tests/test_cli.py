@@ -132,14 +132,19 @@ class TestPolyParser:
             with pytest.raises(DomainError):
                 parse_flat(bad, 0.05)
 
-    def test_sympy_is_not_imported(self):
+    def test_no_sympy_or_scipy_is_imported(self):
+        # mi-check runs the Nelder-Mead refinement of check_mi
         code = (
             "import sys\n"
+            "import areafun\n"
             "from areafun.cli import main, parse_function\n"
             "parse_function('poly:\"x1^2 - x2*x3\"', 3)\n"
             "assert main(['eval', '--f', 'poly:\"x1^2\"', '--n', '3', '--i', '1',"
             " '--grid', '256']) == 0\n"
-            "assert 'sympy' not in sys.modules\n"
+            "assert main(['mi-check', '--f', 'poly:\"1 + 0.3*x1^2\"', '--n', '3',"
+            " '--i', '2', '--grid', '256']) == 0\n"
+            "bad = [m for m in sys.modules if m == 'sympy' or m.startswith('scipy')]\n"
+            "assert not bad, bad\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True

@@ -11,6 +11,7 @@ from areafun.bodies import ellipsoid
 from areafun.conditions import (
     EigenSumScan,
     _diagonal_form_values,
+    _nelder_mead,
     check_mi,
     check_pointwise_ii25,
     downward_closed,
@@ -21,7 +22,8 @@ from areafun.conditions import (
     min_subset_sum,
 )
 from areafun.errors import DomainError
-from areafun.sphere import make_grid
+from areafun.experiments import corpus
+from areafun.sphere import make_grid, sphere_area, tangent_frame
 from areafun.symfun import deleted_elem_sym
 
 RNG = np.random.default_rng(311)
@@ -179,6 +181,104 @@ class TestEigenSumScan:
         r1 = check_mi(f, 2, grid3, scan=scan, refine=False)
         r2 = check_mi(f, 2, grid3, refine=False)
         assert r1.worst_value == pytest.approx(r2.worst_value, abs=0.0)
+
+
+@pytest.fixture(scope="module")
+def scipy_minimize():
+    return pytest.importorskip("scipy.optimize").minimize
+
+
+def _logged(fun):
+    """fun together with the list of points it is called at."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(np.array(x, copy=True))
+        return fun(x)
+
+    return wrapped, calls
+
+
+def _saddle_objective():
+    """eigen_sum of corpus saddle3-0.42 at order 2 on the chart of
+    _refine_worst around its worst node, with check_mi's spacing."""
+    f = next(e.f for e in corpus() if e.label == "saddle3-0.42")
+    grid = make_grid(3, 2048)
+    _, u0 = EigenSumScan(f, grid).worst(2)
+    E = tangent_frame(u0)
+
+    def objective(x):
+        v = u0 + E @ x
+        return eigen_sum(f, v / np.linalg.norm(v), 2)
+
+    h = math.sqrt(sphere_area(3) / len(grid))
+    return objective, np.array([[0.0, 0.0], [h, 0.0], [0.0, h]])
+
+
+SIMPLEX2 = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]])
+NELDER_MEAD_CASES = {
+    # reflection, expansion and both contractions; stops at maxiter
+    "quadratic": (lambda x: (x[0] - 0.3) ** 2 + 2.0 * (x[1] + 0.2) ** 2, SIMPLEX2),
+    "rosenbrock": (
+        lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2,
+        np.array([[-1.2, 1.0], [-1.1, 1.0], [-1.2, 1.1]]),
+    ),
+    "anisotropic-3d": (
+        lambda x: float(np.sum((x - [0.1, 0.2, 0.3]) ** 2 * [1.0, 10.0, 100.0])),
+        np.vstack([np.zeros(3), 0.05 * np.eye(3)]),
+    ),
+    # a failed outside contraction, then shrink
+    "ripple": (
+        lambda x: x[0] ** 2 + x[1] ** 2 + 0.3 * math.cos(40 * x[0]) * math.cos(40 * x[1]),
+        SIMPLEX2 + 0.1,
+    ),
+    # equal values: failed inside contractions and shrinks until xatol is met
+    "constant": (lambda x: 1.0, SIMPLEX2),
+    "plateaus": (lambda x: math.floor(10.0 * (x[0] ** 2 + x[1] ** 2)), SIMPLEX2 + 0.2),
+    # one variable, converges well before maxiter
+    "line": (lambda x: (x[0] - 1.0) ** 2, np.array([[0.0], [0.5]])),
+}
+
+
+class TestNelderMead:
+    """_nelder_mead against scipy's Nelder-Mead at check_mi's options: the
+    same points are evaluated in the same order and the result is bit-identical."""
+
+    OPTIONS = {"maxiter": 50, "xatol": 1e-9, "fatol": 1e-12}
+
+    def _compare(self, minimize, fun, simplex):
+        ours, our_calls = _logged(fun)
+        x, fx = _nelder_mead(ours, simplex, **self.OPTIONS)
+        theirs, their_calls = _logged(fun)
+        res = minimize(
+            theirs,
+            np.zeros(simplex.shape[1]),
+            method="Nelder-Mead",
+            options={"initial_simplex": simplex, **self.OPTIONS},
+        )
+        assert len(our_calls) == len(their_calls) == res.nfev
+        for a, b in zip(our_calls, their_calls):
+            assert np.array_equal(a, b)
+        assert np.array_equal(x, res.x)
+        assert fx == res.fun
+        return res
+
+    @pytest.mark.parametrize("name", sorted(NELDER_MEAD_CASES))
+    def test_matches_scipy(self, scipy_minimize, name):
+        fun, simplex = NELDER_MEAD_CASES[name]
+        self._compare(scipy_minimize, fun, simplex)
+
+    def test_matches_scipy_on_corpus_saddle(self, scipy_minimize):
+        objective, simplex = _saddle_objective()
+        res = self._compare(scipy_minimize, objective, simplex)
+        assert res.fun < objective(np.zeros(2))
+
+    def test_stops_at_maxiter_or_tolerance(self, scipy_minimize):
+        ran_out = self._compare(scipy_minimize, *NELDER_MEAD_CASES["rosenbrock"])
+        assert ran_out.nit == self.OPTIONS["maxiter"]
+        converged = self._compare(scipy_minimize, *NELDER_MEAD_CASES["line"])
+        assert converged.nit < self.OPTIONS["maxiter"]
+        assert converged.x[0] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestLemmaBruteforce:

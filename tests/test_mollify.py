@@ -7,6 +7,7 @@ from areafun.conditions import check_mi
 from areafun.errors import DomainError
 from areafun.mollify import (
     MollifierKernel,
+    _skew_expm,
     Profile,
     RotationAverage,
     mollify,
@@ -81,6 +82,21 @@ class TestKernel:
         assert np.array_equal(a.weights, b.weights)
         c = MollifierKernel.build(3, 8, samples=130, seed=8)
         assert not np.array_equal(a.rotations, c.rotations)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_skew_expm_matches_scipy(self, n):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(200, n, n))
+        X = A - A.transpose(0, 2, 1)
+        # radii up to the largest proposal radius 1.1/k, at k = 1
+        X *= (1.1 * rng.uniform(size=200) / np.linalg.norm(X, axis=(1, 2)))[:, None, None]
+        X[0] *= 1.1 / np.linalg.norm(X[0])
+        R = _skew_expm(X)
+        assert np.max(np.abs(R - expm(X))) <= 1e-15
+        gram = R.transpose(0, 2, 1) @ R - np.eye(n)
+        assert np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-15
+        assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-15
 
     def test_sample_floor(self):
         with pytest.raises(DomainError):
