@@ -195,16 +195,22 @@ def largest_certified_strength(body, phi, grid, margin=1e-6):
     closed form: with B = Q_h - margin I = L L^T positive definite (Cholesky),
     the constraint B + s Q_phi >= 0 is a congruence away from I + s C >= 0
     with C = L^{-1} Q_phi L^{-T}, so the node's threshold is
-    1 / |most negative eigenvalue of C| — no search loop needed.  Returns 0
-    when the body itself fails the margin and inf when no node limits s.
+    1 / |most negative eigenvalue of C| — no search loop needed.  It runs one
+    node block at a time and evaluates the forms of phi there, caching none
+    of them.  Returns 0 when the body itself fails the margin and inf when no
+    node limits s.
     """
     if float(np.min(body.q_eigs(grid)[:, 0])) <= margin:
         return 0.0
     Qh = body.q_stack(grid)
-    L_inv = np.linalg.inv(np.linalg.cholesky(Qh - margin * np.eye(Qh.shape[-1])))
-    C = L_inv @ grid.q_stack(phi) @ L_inv.transpose(0, 2, 1)
-    lam = np.linalg.eigvalsh(C)[:, 0]
-    worst = float(np.min(lam))
+    shift = margin * np.eye(Qh.shape[-1])
+
+    def smallest(b):
+        L_inv = np.linalg.inv(np.linalg.cholesky(Qh[b] - shift))
+        Qp = sphere.q_batch(phi, grid.nodes[b])
+        return np.linalg.eigvalsh(L_inv @ Qp @ L_inv.transpose(0, 2, 1))[:, 0]
+
+    worst = float(np.min(grid.node_values(smallest)))
     if worst >= 0.0:
         return math.inf
     return 1.0 / (-worst)

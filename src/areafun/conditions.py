@@ -87,7 +87,7 @@ class EigenSumScan:
             raise DomainError("function and grid dimensions differ")
         self.f = f
         self.grid = grid
-        Q = q_batch(f, grid.nodes, grid.frames())
+        Q = q_batch(f, grid.nodes)
         lam = np.linalg.eigvalsh(Q)  # ascending rows
         self.eig_stack = lam
         self.cumsums = np.cumsum(lam, axis=1)

@@ -36,15 +36,6 @@ from .functionals import (
     power_concavity,
     second_variation,
 )
-from .mollify import (
-    Profile,
-    plateau_cutoff,
-    product_profile,
-    ramp_cutoff,
-    scaled_profile,
-    separable_function,
-    triangle_wave,
-)
 from .sphere import (
     SphericalFunction,
     bump,
@@ -54,12 +45,191 @@ from .sphere import (
     make_grid,
     panel_grid,
     polynomial,
+    q_batch,
     q_matrix,
     quadratic_support,
     sphere_area,
     tangent_frame,
 )
 from .symfun import contract2, elem_sym_batch, trace_pair
+
+# -- C^2 profile toolbox ----------------------------------------------------------
+#
+# A profile is a one-variable jet p(t, order=0) -> (p,), (p, p') or (p, p', p'')
+# at the points t, computing nothing above the requested order (Griewank and
+# Walther, Evaluating Derivatives, ch. 13).  The kinks of |t| and of triangle
+# waves are repaired by a quartic cap with matched value and slope and zero
+# curvature at the glue points; cutoffs use the quintic step.
+
+
+def smoothed_abs(eta):
+    """C^2 version of |t|: quartic cap on [-eta, eta].
+
+    cap(t) = 3 eta/8 + 3 t^2/(4 eta) - t^4/(8 eta^3) matches |t| in value and
+    slope at t = +-eta and has zero second derivative there; cap(0) = 3 eta/8.
+    """
+    if eta <= 0:
+        raise DomainError("smoothing width must be positive")
+
+    def jet(t, order=0):
+        t = np.asarray(t, dtype=float)
+        out = np.abs(t) >= eta
+        cap = 3.0 * eta / 8.0 + 3.0 * t * t / (4.0 * eta) - t**4 / (8.0 * eta**3)
+        d = [np.where(out, np.abs(t), cap)]
+        if order >= 1:
+            d.append(np.where(out, np.sign(t), 1.5 * t / eta - 0.5 * t**3 / eta**3))
+        if order >= 2:
+            d.append(np.where(out, 0.0, 1.5 / eta - 1.5 * t * t / eta**3))
+        return tuple(d)
+
+    return jet
+
+
+def smooth_step():
+    """Quintic step: 0 for s <= 0, 1 for s >= 1, 6s^5 - 15s^4 + 10s^3 between (C^2)."""
+
+    def jet(s, order=0):
+        s = np.asarray(s, dtype=float)
+        sc = np.clip(s, 0.0, 1.0)
+        inside = (s > 0.0) & (s < 1.0)
+        d = [sc**3 * (6.0 * sc * sc - 15.0 * sc + 10.0)]
+        if order >= 1:
+            d.append(np.where(inside, 30.0 * sc * sc * (sc - 1.0) ** 2, 0.0))
+        if order >= 2:
+            d.append(np.where(inside, 60.0 * sc * (2.0 * sc - 1.0) * (sc - 1.0), 0.0))
+        return tuple(d)
+
+    return jet
+
+
+def plateau_cutoff(inner, outer):
+    """C^2 cutoff: 1 on |t| <= inner, 0 on |t| >= outer, quintic in between."""
+    if not (0 < inner < outer):
+        raise DomainError("need 0 < inner < outer")
+    step, w = smooth_step(), outer - inner
+
+    def jet(t, order=0):
+        # step((outer - |t|)/w): the inner slope is -sign(t)/w, its curvature 0
+        t = np.asarray(t, dtype=float)
+        d = list(step((outer - np.abs(t)) / w, order))
+        if order >= 1:
+            d[1] = d[1] * (-np.sign(t) / w)
+        if order >= 2:
+            d[2] = d[2] / (w * w)
+        return tuple(d)
+
+    return jet
+
+
+def ramp_cutoff(lo, hi):
+    """C^2 one-sided cutoff: 0 for t <= lo, 1 for t >= hi."""
+    if not (lo < hi):
+        raise DomainError("need lo < hi")
+    step, w = smooth_step(), hi - lo
+    return lambda t, order=0: tuple(
+        d / w**k for k, d in enumerate(step((np.asarray(t, dtype=float) - lo) / w, order))
+    )
+
+
+def triangle_wave(eta=0.0):
+    """Unit triangle wave g(t) = 1 - dist(t, 2Z), optionally C^2-smoothed.
+
+    Slope is +-1 away from the extrema; with eta > 0 both kink families
+    (peaks at even, troughs at odd integers) are replaced by the quartic cap
+    within eta of the kink, lifting the trough to 3 eta/8 and lowering the
+    peak to 1 - 3 eta/8.  eta = 0 returns the raw Lipschitz wave (first and
+    second derivatives then report the a.e. values, garbage at kinks).
+    """
+    if eta < 0 or eta >= 0.5:
+        raise DomainError("need 0 <= eta < 1/2")
+
+    def raw_abs(t, order):
+        return (np.abs(t), np.sign(t), np.zeros_like(t))[: order + 1]
+
+    cap = smoothed_abs(eta) if eta > 0.0 else raw_abs
+
+    def jet(t, order=0):
+        # x: signed distance to the nearest even integer, in [-1, 1); the
+        # distance |x| is the cap near 0 and the reflected cap 1 - cap(1 - |x|)
+        # near +-1, one cap jet each
+        x = (np.asarray(t, dtype=float) + 1.0) % 2.0 - 1.0
+        a = np.abs(x)
+        near, c, r = a <= 0.5, cap(x, order), cap(1.0 - a, order)
+        d = [1.0 - np.where(near, c[0], 1.0 - r[0])]
+        if order >= 1:
+            d.append(-np.where(near, c[1], np.sign(x) * r[1]))
+        if order >= 2:
+            d.append(-np.where(near, c[2], -r[2]))
+        return tuple(d)
+
+    return jet
+
+
+def scaled_profile(p, amplitude, scale):
+    """amplitude * p(t / scale) with derivatives."""
+    if scale <= 0:
+        raise DomainError("profile scale must be positive")
+    return lambda t, order=0: tuple(
+        (amplitude / scale**k) * d
+        for k, d in enumerate(p(np.asarray(t, dtype=float) / scale, order))
+    )
+
+
+def product_profile(p, q):
+    """Pointwise product of two profiles of the same variable, by Leibniz:
+    (pq)^(k) = sum_j C(k, j) p^(j) q^(k-j)."""
+
+    def jet(t, order=0):
+        a, b = p(t, order), q(t, order)
+        return tuple(
+            sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k, -1, -1))
+            for k in range(order + 1)
+        )
+
+    return jet
+
+
+def separable_function(n, directions, profiles, label="sep"):
+    """Product of profiles of fixed linear coordinates, as a SphericalFunction.
+
+    value(x) = prod_j p_j(s_j), s_j = <x, w_j>, with one jet call per profile.
+    With L_j the product of all factors but the j-th (prefix times suffix
+    products) and L_jl that of all but two, the gradient is
+    sum_j p_j' L_j w_j and the Hessian is W^T M W with M_jj = p_j'' L_j and
+    M_jl = p_j' p_l' L_jl, formed as one product with the table w_j (x) w_l.
+    The ambient representative is smooth on all of R^n, so the homogeneous-
+    extension machinery applies verbatim.
+    """
+    W = np.asarray(directions, dtype=float)
+    if W.ndim != 2 or W.shape[1] != n or len(profiles) != W.shape[0]:
+        raise DomainError("need one n-vector direction per profile")
+    J = W.shape[0]
+    WW = np.einsum("ja,lb->jlab", W, W).reshape(J * J, n * n)
+
+    def jet(Y, order):
+        S = W @ Y.T  # (J, m): one row of linear coordinates per profile
+        D = [np.array(d) for d in zip(*(p(s, order) for p, s in zip(profiles, S)))]
+        if order == 0:
+            return (np.prod(D[0], axis=0),)
+        V, m = D[0], len(Y)
+        pre, suf = np.ones((J + 1, m)), np.ones((J + 1, m))
+        np.cumprod(V, axis=0, out=pre[1:])  # pre[j]: factors before j
+        suf[:J] = np.cumprod(V[::-1], axis=0)[::-1]  # suf[j]: factors from j on
+        L = pre[:J] * suf[1:]
+        G = (D[1] * L).T @ W
+        if order == 1:
+            return pre[J], G
+        M = np.empty((J, J, m))
+        for j in range(J):
+            M[j, j] = D[2][j] * L[j]
+            mid = pre[j]  # factors before j, then those strictly between j and l
+            for l in range(j + 1, J):
+                M[j, l] = M[l, j] = D[1][j] * D[1][l] * mid * suf[l + 1]
+                mid = mid * V[l]
+        return pre[J], G, (M.reshape(J * J, m).T @ WW).reshape(m, n, n)
+
+    return SphericalFunction(n, jet, label)
+
 
 # -- localized oscillating perturbations ---------------------------------------
 
@@ -131,9 +301,11 @@ def oscillating_phi(u0, v, rho, eps, n, eta=0.0):
 
     cut = plateau_cutoff(0.6 * rho, rho)
     scaled = scaled_profile(triangle_wave(eta), eps, eps)
-    centered = Profile(
-        lambda t: scaled.fn(t) - 0.5 * eps, scaled.d1, scaled.d2, f"centered({scaled.label})"
-    )
+
+    def centered(t, order=0):
+        d = scaled(t, order)
+        return (d[0] - 0.5 * eps,) + d[1:]
+
     wave = product_profile(centered, cut)
     profiles = [wave] + [cut] * (n - 2) + [ramp_cutoff(0.3, 0.5)]
     dirs = np.column_stack([frame, u0]).T
@@ -752,21 +924,27 @@ def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
     integrand cancels the part linear in s node by node, so its quadrature
     estimate lives at the curvature scale — integrating first and differencing
     after would bury the curvature under the linear term's quadrature error.
+    The Hessian forms of phi are evaluated per node block, not cached.
     """
     ts = np.asarray(ts, dtype=float)
     steps = [2**k for k in range(len(ts)) if 2 ** (k + 1) < len(ts)]
 
     def integral(g):
         Q0 = body.q_stack(g)
-        Qp = g.q_stack(phi)
-        base = elem_sym_batch(Q0, i)
-        rows = np.empty((len(ts), len(g.nodes)))
-        for k, t in enumerate(ts):  # one t per pass keeps the pencil memory flat
-            rows[k] = elem_sym_batch(Q0 + (t * s) * Qp, i) - base
+
+        def pencil(b):
+            base, Qp = elem_sym_batch(Q0[b], i), q_batch(phi, g.nodes[b])
+            return [elem_sym_batch(Q0[b] + (t * s) * Qp, i) - base for t in ts]
+
+        rows = g.node_values(pencil, (len(ts),))
         fv = f.value(g.nodes)
         sums = [g.weighted_sum(rows, fv)]
-        for h in steps:  # one block of second differences at a time
-            sums.append(g.weighted_sum(rows[2 * h :] - 2.0 * rows[h:-h] + rows[: -2 * h], fv))
+        for h in steps:  # one step's second differences at a time
+            d2 = g.node_values(
+                lambda b: rows[2 * h :, b] - 2.0 * rows[h:-h, b] + rows[: -2 * h, b],
+                (len(ts) - 2 * h,),
+            )
+            sums.append(g.weighted_sum(d2, fv))
         return np.concatenate(sums)
 
     split = np.cumsum([len(ts)] + [len(ts) - 2 * h for h in steps[:-1]])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sphere import q_batch
+from .sphere import frames, q_batch
 from .symfun import contract2_batch, cofactor_batch, elem_sym_batch, mixed_discriminant_batch
 
 
@@ -56,10 +56,7 @@ def functional_value(f, body, i, grid):
         raise DomainError("weight function and body live in different dimensions")
     _check_order(body.n, i)
 
-    def integral(g):
-        return g.weighted_sum(f.value(g.nodes) * elem_sym_batch(body.q_stack(g), i))
-
-    return grid.paired(integral)
+    return grid.paired(_node_integral(body, lambda U, Q: f.value(U) * elem_sym_batch(Q, i)))
 
 
 def functional_difference(f, body_k, body_l, i, grid):
@@ -167,10 +164,16 @@ def volume(body, grid):
 # -- variations of F along support perturbations ------------------------------
 
 
-def _tangential_gradient(f, grid):
-    """Per-node frame components of the spherical gradient of f, (m, n-1)."""
-    G = f.extension_gradient(grid.nodes)
-    return np.einsum("mia,mi->ma", grid.frames(), G)
+def _node_integral(body, vals):
+    """Per-grid integral g -> I(g) of the per-node values vals(U, Q), with U a
+    node block of g and Q the body's Hessian forms there, formed block by
+    block into one array and summed once."""
+
+    def integral(g):
+        Q = body.q_stack(g)
+        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b])))
+
+    return integral
 
 
 def _first_variation_integral(f, body, phi, i, form):
@@ -181,13 +184,10 @@ def _first_variation_integral(f, body, phi, i, form):
     if form not in ("direct", "adjoint"):
         raise DomainError(f"unknown first-variation form {form!r}")
     a, b = (f, phi) if form == "direct" else (phi, f)
-
-    def integral(g):
-        cof = cofactor_batch(body.q_stack(g), i)
-        Qb = q_batch(b, g.nodes, g.frames())
-        return g.weighted_sum(a.value(g.nodes) * np.einsum("mjk,mjk->m", cof, Qb))
-
-    return integral
+    return _node_integral(
+        body,
+        lambda U, Q: a.value(U) * np.einsum("mjk,mjk->m", cofactor_batch(Q, i), q_batch(b, U)),
+    )
 
 
 def _second_variation_integral(f, body, phi, i, form):
@@ -196,32 +196,28 @@ def _second_variation_integral(f, body, phi, i, form):
     _check_order(body.n, i)
     if form == "quadratic":
 
-        def vals(g):
-            Qp = q_batch(phi, g.nodes, g.frames())
-            M = contract2_batch(body.q_stack(g), i, Qp)
-            return f.value(g.nodes) * np.einsum("mjk,mjk->m", M, Qp)
+        def vals(U, Q):
+            Qp = q_batch(phi, U)
+            return f.value(U) * np.einsum("mjk,mjk->m", contract2_batch(Q, i, Qp), Qp)
 
     elif form == "adjoint":
 
-        def vals(g):
-            Qf = q_batch(f, g.nodes, g.frames())
-            Qp = q_batch(phi, g.nodes, g.frames())
-            M = contract2_batch(body.q_stack(g), i, Qf)
-            return phi.value(g.nodes) * np.einsum("mjk,mjk->m", M, Qp)
+        def vals(U, Q):
+            E = frames(U)
+            M = contract2_batch(Q, i, q_batch(f, U, E))
+            return phi.value(U) * np.einsum("mjk,mjk->m", M, q_batch(phi, U, E))
 
     elif form == "gradient":
 
-        def vals(g):
-            Qf = q_batch(f, g.nodes, g.frames())
-            M = contract2_batch(body.q_stack(g), i, Qf)
-            pv = phi.value(g.nodes)
-            gp = _tangential_gradient(phi, g)
-            trm = np.einsum("mjj->m", M)
-            return pv * pv * trm - np.einsum("mj,mjk,mk->m", gp, M, gp)
+        def vals(U, Q):
+            E = frames(U)  # gp: frame components of the spherical gradient of phi
+            M = contract2_batch(Q, i, q_batch(f, U, E))
+            pv, gp = phi.value(U), np.einsum("mia,mi->ma", E, phi.extension_gradient(U))
+            return pv * pv * np.einsum("mjj->m", M) - np.einsum("mj,mjk,mk->m", gp, M, gp)
 
     else:
         raise DomainError(f"unknown second-variation form {form!r}")
-    return lambda g: g.weighted_sum(vals(g))
+    return _node_integral(body, vals)
 
 
 def first_variation(f, body, phi, i, grid, form="direct"):

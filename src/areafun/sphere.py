@@ -35,6 +35,23 @@ FD_HESSIAN_STEP = 1e-4
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _POLY_BLOCK = 1 << 16
+# nodes per block of the node pipeline: every per-node computation on a large
+# node set runs one block at a time, so its temporaries follow the block, not
+# the node count; a power of two, so inner blocks (inner_block) tile it
+NODE_BLOCK = 1 << 13
+
+
+def node_blocks(m):
+    """Consecutive slices of at most NODE_BLOCK of the m nodes, in order."""
+    return (slice(s, min(s + NODE_BLOCK, m)) for s in range(0, m, NODE_BLOCK))
+
+
+def inner_block(budget, per_node):
+    """Nodes per inner block of a kernel holding per_node entries per node
+    within budget entries: a power of two no larger than NODE_BLOCK, so its
+    blocks tile every node block alike and a node's row does not depend on
+    where its node block starts."""
+    return min(NODE_BLOCK, 1 << (max(1, budget // max(1, per_node)).bit_length() - 1))
 
 
 def sphere_area(n):
@@ -78,7 +95,9 @@ class SphericalFunction:
     def value(self, U):
         """f at unit vectors; accepts (n,) or (m, n)."""
         U2, single = _as_points(U, self.n)
-        vals = np.asarray(self._jet(U2, 0)[0], dtype=float)
+        vals = np.empty(len(U2))
+        for b in node_blocks(len(U2)):
+            vals[b] = self._jet(U2[b], 0)[0]
         return float(vals[0]) if single else vals
 
     def __call__(self, u):
@@ -96,10 +115,10 @@ class SphericalFunction:
 
     def extension_gradient(self, X):
         X2, single = _as_points(X, self.n)
-        if self.derivative_mode == "analytic":
-            G = self._ext_grad_analytic(X2)
-        else:
-            G = self._ext_grad_fd(X2)
+        grad = self._ext_grad_analytic if self.derivative_mode == "analytic" else self._ext_grad_fd
+        G = np.empty_like(X2)
+        for b in node_blocks(len(X2)):
+            G[b] = grad(X2[b])
         if not np.all(np.isfinite(G)):
             bad = int(np.argwhere(~np.isfinite(G).all(axis=1))[0, 0])
             raise EvaluationError(
@@ -241,10 +260,11 @@ def linear(n, v, label=None):
 def _monomial_evaluator(E, C, shape):
     """Y (m, n) -> (m, *shape): the monomials x^E (rows of E) times C, formed by
     square-and-multiply over the exponent bits, so memory does not grow with the
-    degree, in node blocks of _POLY_BLOCK table entries that stay in cache."""
+    degree, in inner blocks of at most _POLY_BLOCK table entries that stay in
+    cache."""
     bits = [[np.flatnonzero((E[:, v] >> b) & 1) for v in range(E.shape[1])]
             for b in range(int(E.max(initial=0)).bit_length())]
-    block = max(1, _POLY_BLOCK // max(1, len(E)))
+    block = inner_block(_POLY_BLOCK, len(E))
 
     def evaluate(Y):
         out = np.empty((len(Y), C.shape[1]))
@@ -305,10 +325,10 @@ def quadratic_support(M, label=None):
     M = 0.5 * (M + M.T)
 
     def jet(Y, order):
-        h = np.sqrt(np.einsum("mi,ij,mj->m", Y, M, Y))
+        MY = Y @ M
+        h = np.sqrt(np.sum(MY * Y, axis=1))
         if order == 0:
             return (h,)
-        MY = Y @ M
         if order == 1:
             return h, MY / h[:, None]
         return h, MY / h[:, None], M[None, :, :] / h[:, None, None] - (
@@ -415,17 +435,14 @@ def frames(U):
     the frame is well-conditioned everywhere including u = +-e_n.
     """
     U2, single = _as_points(np.asarray(U, dtype=float), np.asarray(U).shape[-1])
-    m, n = U2.shape
-    nrm = np.linalg.norm(U2, axis=1)
-    if np.any(np.abs(nrm - 1.0) > 1e-8):
+    n = U2.shape[1]
+    if np.any(np.abs(np.sqrt(np.einsum("mi,mi->m", U2, U2)) - 1.0) > 1e-8):
         raise DomainError("frames: nodes must be unit vectors")
-    sign = np.where(U2[:, -1] >= 0.0, 1.0, -1.0)
     W = U2.copy()
-    W[:, -1] += sign
-    wnorm2 = np.einsum("mi,mi->m", W, W)
-    E = np.broadcast_to(np.eye(n)[:, : n - 1], (m, n, n - 1)).copy()
-    coef = 2.0 * W[:, : n - 1] / wnorm2[:, None]
-    E -= W[:, :, None] * coef[:, None, :]
+    W[:, -1] += np.where(U2[:, -1] >= 0.0, 1.0, -1.0)
+    coef = 2.0 * W[:, : n - 1] / np.einsum("mi,mi->m", W, W)[:, None]
+    E = np.einsum("ma,mb->mab", W, coef)
+    np.subtract(np.eye(n)[:, : n - 1], E, out=E)
     return E[0] if single else E
 
 
@@ -453,29 +470,33 @@ def q_batch(f, U, frame_stack=None):
     term of the extension Hessian drops out and the form is
     sym(E^T Hess phi(y) E)/r + (phi(y) - <grad phi(y), y>)/r * I with
     y = u/|u|, r = |u|; the n x n extension Hessian is never built.
-    Finite-difference functions go through extension_hessian.  Raises
-    EvaluationError naming the first node whose form is not finite.
+    Finite-difference functions go through extension_hessian.  The nodes go
+    through in node blocks, each with its own frames unless frame_stack is
+    given, written into one preallocated stack.  Raises EvaluationError
+    naming the first node whose form is not finite.
     """
     U = np.asarray(U, dtype=float)
-    E = frames(U) if frame_stack is None else frame_stack
-    Et = E.transpose(0, 2, 1)
-    if f.derivative_mode != "analytic":
-        Q = Et @ f.extension_hessian(U) @ E
-    else:
-        r, _, c, H = f._analytic_parts(U, 2)
-        Q = Et @ H @ E
-        del H  # freed before Q is scaled and symmetrised in place
-        Q /= r[:, None, None]
-        diag = np.arange(Q.shape[-1])
-        Q[:, diag, diag] += (c / r)[:, None]
-        finite = np.isfinite(Q).reshape(len(Q), -1).all(axis=1)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise EvaluationError(
-                f"non-finite Hessian form of {f.label} at node {bad}: u={U[bad]}"
-            )
-    Q += Q.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-    Q *= 0.5
+    N = U.shape[-1] - 1
+    Q = np.empty((len(U), N, N))
+    diag = np.arange(N)
+    for b in node_blocks(len(U)):
+        E = frames(U[b]) if frame_stack is None else frame_stack[b]
+        Et, Qb = E.transpose(0, 2, 1), Q[b]
+        if f.derivative_mode != "analytic":
+            np.matmul(Et @ f.extension_hessian(U[b]), E, out=Qb)
+        else:
+            r, _, c, H = f._analytic_parts(U[b], 2)
+            np.matmul(Et @ H, E, out=Qb)
+            Qb /= r[:, None, None]
+            Qb[:, diag, diag] += (c / r)[:, None]
+            finite = np.isfinite(Qb).reshape(len(Qb), -1).all(axis=1)
+            if not finite.all():
+                bad = b.start + int(np.argmin(finite))
+                raise EvaluationError(
+                    f"non-finite Hessian form of {f.label} at node {bad}: u={U[bad]}"
+                )
+        Qb += Qb.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+        Qb *= 0.5
     return Q
 
 
@@ -503,7 +524,6 @@ class QuadratureGrid:
     kind: str
     seed: int = 0
     coarse_rule: Callable[[], QuadratureGrid] | None = field(default=None, repr=False)
-    _frames: np.ndarray | None = field(default=None, init=False, repr=False)
     _coarse: QuadratureGrid | None = field(default=None, init=False, repr=False)
     _q: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
     _eigs: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
@@ -516,9 +536,9 @@ class QuadratureGrid:
         return len(self.nodes)
 
     def frames(self):
-        if self._frames is None:
-            self._frames = frames(self.nodes)
-        return self._frames
+        """Tangent frames at every node, (m, n, n-1), formed on each call: the
+        node pipeline forms them one node block at a time instead."""
+        return frames(self.nodes)
 
     def coarse(self):
         """The half-resolution grid of the same family, built on first use."""
@@ -533,7 +553,7 @@ class QuadratureGrid:
         """q_batch of f at every node, (m, n-1, n-1); cached per function."""
         Q = self._q.get(f)
         if Q is None:
-            Q = self._q[f] = q_batch(f, self.nodes, self.frames())
+            Q = self._q[f] = q_batch(f, self.nodes)
         return Q
 
     def q_eigs(self, f, stack=None):
@@ -544,6 +564,14 @@ class QuadratureGrid:
             Q = self.q_stack(f) if stack is None else stack()
             lam = self._eigs[f] = np.linalg.eigvalsh(Q)
         return lam
+
+    def node_values(self, per_block, rows=()):
+        """Per-node values, shape (*rows, m), assembled one node block at a
+        time: per_block(b) gives the values at the nodes self.nodes[b]."""
+        out = np.empty(tuple(rows) + (len(self.nodes),))
+        for b in node_blocks(len(self.nodes)):
+            out[..., b] = per_block(b)
+        return out
 
     def weighted_sum(self, vals, factor=None):
         """Quadrature sum over the node axis (the last) of per-node values.

@@ -7,6 +7,7 @@ they replace, written out below as independent references.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from areafun import sphere
 from areafun.errors import EvaluationError
+from areafun.experiments import _oscillation_panel_grid, oscillating_phi
 from areafun.mollify import _ROTATION_BLOCK, MollifierKernel, mollify
 from areafun.symfun import (
     cofactor_batch,
@@ -193,19 +195,93 @@ class TestTangentFrameForm:
 
         ker = MollifierKernel.build(3, 6, samples=150, seed=3)
         fk = mollify(sphere.SphericalFunction(3, counted, "counted"), 6, kernel=ker)
-        blocks = -(-len(nodes) // (_ROTATION_BLOCK // len(ker.rotations)))
+        blocks = -(-len(nodes) // sphere.inner_block(_ROTATION_BLOCK, len(ker.rotations)))
         sphere.q_batch(fk, nodes)
         assert blocks > 1 and orders == [2] * blocks
         orders.clear()
         fk.value(nodes)  # a value-only call asks for no derivatives
         assert orders == [0] * blocks
-        # quadratic_support forms its quadratic form once per evaluation
-        einsum, forms = np.einsum, []
+        # quadratic_support's order-2 jet forms its quadratic form, and takes
+        # its square root, once
+        sqrt, roots = np.sqrt, []
 
-        def counting_einsum(subscripts, *operands, **kwargs):
-            forms.append(subscripts)
-            return einsum(subscripts, *operands, **kwargs)
+        def counting_sqrt(x, *args, **kwargs):
+            roots.append(np.shape(x))
+            return sqrt(x, *args, **kwargs)
 
-        monkeypatch.setattr(np, "einsum", counting_einsum)
-        sphere.q_batch(sphere.quadratic_support(np.diag([1.0, 2.0, 3.0])), nodes)
-        assert forms.count("mi,ij,mj->m") == 1
+        monkeypatch.setattr(np, "sqrt", counting_sqrt)
+        sphere.quadratic_support(np.diag([1.0, 2.0, 3.0]))._jet(nodes, 2)
+        assert roots == [(len(nodes),)]
+
+
+# -- the node pipeline's blocks -------------------------------------------------------
+
+
+def block_functions(n):
+    """One function of each jet kind: a polynomial (monomial tables in inner
+    blocks), a quadratic support, a bump, the separable oscillation and a
+    rotation average (rotation blocks)."""
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(n, n))
+    u0 = np.eye(n)[-1]
+    terms = {e: rng.normal() for e in itertools.product(range(4), repeat=n) if sum(e) <= 4}
+    bump = sphere.bump(n, u0, 3.0)
+    return {
+        "polynomial": sphere.polynomial(n, terms),
+        "quadratic_support": sphere.quadratic_support(B @ B.T + np.eye(n)),
+        "bump": bump,
+        "separable": oscillating_phi(u0, np.eye(n)[0], 0.25, 0.08, n, eta=0.25),
+        "rotation_average": mollify(bump, 6, kernel=MollifierKernel.build(n, 6, 100, seed=1)),
+    }
+
+
+def points_near_pole(n, m, seed=0):
+    # about half of them inside the oscillation's patch around e_n
+    U = np.eye(n)[-1] + 0.3 * np.random.default_rng(seed).normal(size=(m, n))
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+class TestNodeBlocks:
+    @pytest.mark.parametrize("m", [2 * sphere.NODE_BLOCK + 77, 1])
+    def test_blocked_rows_equal_single_block_rows(self, monkeypatch, m):
+        # inner blocks are powers of two no larger than a node block, so the
+        # same kernel calls see the same rows whether the nodes arrive in one
+        # block or in several
+        U = points_near_pole(4, m)
+        fs = block_functions(4)
+        blocked = {name: (sphere.q_batch(f, U), f.value(U)) for name, f in fs.items()}
+        monkeypatch.setattr(sphere, "NODE_BLOCK", 1 << 20)
+        for name, f in fs.items():
+            Q, v = blocked[name]
+            assert np.array_equal(sphere.q_batch(f, U), Q), name
+            assert np.array_equal(f.value(U), v), name
+
+    def test_nonfinite_form_names_global_node(self):
+        nodes = sphere.make_grid(3, sphere.NODE_BLOCK + 100).nodes
+        bad = sphere.NODE_BLOCK + 37  # in the second block
+
+        def jet(Y, order):
+            H = np.zeros((len(Y), 3, 3))
+            H[np.abs(Y - nodes[bad]).max(axis=1) < 1e-12, 0, 1] = np.nan
+            return (np.ones(len(Y)), np.zeros_like(Y), H)[: order + 1]
+
+        f = sphere.SphericalFunction(3, jet, "nan-late")
+        with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
+            sphere.q_batch(f, nodes)
+
+    def test_q_batch_memory_follows_block(self):
+        # the n=4 oscillation on its panel grid: the peak is the result plus
+        # what one block of nodes needs, not a multiple of the grid
+        u0 = np.eye(4)[-1]
+        phi = oscillating_phi(u0, np.eye(4)[0], 0.25, 0.08, 4, eta=0.25)
+        nodes = _oscillation_panel_grid(phi).nodes
+        assert len(nodes) >= 300_000
+        sphere.q_batch(phi, nodes[:64])  # warm
+        tracemalloc.start()
+        try:
+            Q = sphere.q_batch(phi, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= Q.nbytes + 256 * 8 * sphere.NODE_BLOCK  # 256 doubles per block node
+

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,23 +6,24 @@ import pytest
 
 from areafun.conditions import check_mi
 from areafun.errors import DomainError
-from areafun.mollify import (
-    MollifierKernel,
-    _skew_expm,
-    Profile,
-    RotationAverage,
-    mollify,
-    mollify_preserves_monotone,
+from areafun.experiments import (
     plateau_cutoff,
     product_profile,
-    psi_profile,
     ramp_cutoff,
     scaled_profile,
     separable_function,
     smooth_step,
     smoothed_abs,
-    sup_distance,
     triangle_wave,
+)
+from areafun.mollify import (
+    MollifierKernel,
+    _skew_expm,
+    RotationAverage,
+    mollify,
+    mollify_preserves_monotone,
+    psi_profile,
+    sup_distance,
 )
 from areafun.sphere import (
     bump,
@@ -53,6 +55,24 @@ def saddle(c, n=3):
     e2[1] = 2
     terms[tuple(e2)] = -c
     return polynomial(n, terms, label=f"saddle({c})")
+
+
+def full_kernel(n, k, samples, seed):
+    """The kernel build with every accepted rotation kept, zero weights
+    included, as a reference: (rotations, weights)."""
+    rng = np.random.default_rng(seed)
+    d = n * (n - 1) // 2
+    X = np.zeros((samples, n, n))
+    for s in range(samples):
+        v = rng.normal(size=d)
+        v /= np.linalg.norm(v)
+        X[s][np.triu_indices(n, 1)] = v * (1.1 / k * rng.uniform() ** (1.0 / d) / math.sqrt(2.0))
+    X -= X.transpose(0, 2, 1)
+    rho = _skew_expm(X)
+    dists = np.linalg.norm(rho - np.eye(n), axis=(1, 2))
+    inside = k * k * dists * dists < 1.0
+    w = psi_profile((dists[inside] * k) ** 2)
+    return rho[inside], w / float(np.sum(w))
 
 
 class TestKernel:
@@ -98,6 +118,22 @@ class TestKernel:
         assert np.max(np.linalg.norm(gram, axis=(1, 2))) <= 1e-15
         assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-15
 
+    @pytest.mark.parametrize("n, k, seed", [(3, 4, 0), (4, 8, 1)])
+    def test_zero_weights_are_dropped(self, n, k, seed):
+        # these samples accept a rotation so close to the support's edge that
+        # its weight exp(1/(t - 1)) underflows to 0
+        rotations, weights = full_kernel(n, k, 150, seed)
+        assert np.count_nonzero(weights == 0.0) >= 1
+        ker = MollifierKernel.build(n, k, samples=150, seed=seed)
+        assert np.all(ker.weights > 0.0)
+        assert np.array_equal(ker.weights, weights[weights > 0.0])
+        assert np.array_equal(ker.rotations, rotations[weights > 0.0])
+        U = unit_points(n, 300)
+        for f in weights_for(n):
+            want = sum(w * f.value(U @ R.T) for w, R in zip(weights, rotations))
+            got = mollify(f, k, kernel=ker).value(U)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), f.label
+
     def test_sample_floor(self):
         with pytest.raises(DomainError):
             MollifierKernel.build(3, 8, samples=99)
@@ -113,15 +149,6 @@ class TestKernel:
         # total acceptance must trip the starvation guard
         with pytest.raises(KernelError):
             MollifierKernel.build(3, 8, samples=400, seed=0, min_acceptance=0.999)
-
-    def test_rebase_preserves_weights_and_distances(self):
-        ker = MollifierKernel.build(3, 8, samples=120, seed=3)
-        R0 = rotation_xy(0.7)
-        conj = ker.rebase(R0)
-        assert np.array_equal(conj.weights, ker.weights)
-        d0 = np.linalg.norm(ker.rotations - np.eye(3), axis=(1, 2))
-        d1 = np.linalg.norm(conj.rotations - np.eye(3), axis=(1, 2))
-        assert np.max(np.abs(d0 - d1)) < 1e-12
 
 
 class TestMollify:
@@ -147,7 +174,10 @@ class TestMollify:
         ker = MollifierKernel.build(3, 8, samples=120, seed=4)
         R0 = rotation_xy(1.1)
         f = polynomial(3, {(2, 1, 0): 0.5, (0, 0, 1): 1.0, (0, 0, 0): 2.0})
-        lhs = mollify(compose_orthogonal(f, R0), 8, kernel=ker.rebase(R0))
+        # the kernel conjugated by R0 keeps its weights: the distance to the
+        # identity is conjugation-invariant
+        conj = MollifierKernel(3, 8, R0.T @ ker.rotations @ R0, ker.weights, ker.seed)
+        lhs = mollify(compose_orthogonal(f, R0), 8, kernel=conj)
         rhs = compose_orthogonal(mollify(f, 8, kernel=ker), R0)
         grid = make_grid(3, 600)
         assert np.max(np.abs(lhs.value(grid.nodes) - rhs.value(grid.nodes))) < 1e-12
@@ -291,85 +321,175 @@ class TestPreservation:
 
 class FDCheck:
     @staticmethod
-    def d1(p, t, h=1e-6):
-        return (p.fn(t + h) - p.fn(t - h)) / (2 * h)
+    def fd1(p, t, h=1e-6):
+        return (p(t + h)[0] - p(t - h)[0]) / (2 * h)
 
     @staticmethod
-    def d2(p, t, h=1e-4):
-        return (p.fn(t + h) - 2 * p.fn(t) + p.fn(t - h)) / h**2
+    def fd2(p, t, h=1e-4):
+        return (p(t + h)[0] - 2 * p(t)[0] + p(t - h)[0]) / h**2
+
+
+def closure_profiles(eta, eps, rho):
+    """The value/d1/d2 closure triples the profile jets replaced, written out
+    as a reference: name -> (fn, d1, d2), with the oscillation's profiles."""
+
+    def cap(k, t):
+        out = np.abs(t) >= eta
+        if k == 0:
+            quartic = 3.0 * eta / 8.0 + 3.0 * t * t / (4.0 * eta) - t**4 / (8.0 * eta**3)
+            return np.where(out, np.abs(t), quartic)
+        if k == 1:
+            return np.where(out, np.sign(t), 1.5 * t / eta - 0.5 * t**3 / eta**3)
+        return np.where(out, 0.0, 1.5 / eta - 1.5 * t * t / eta**3)
+
+    def step(k, s):
+        inside, sc = (s > 0.0) & (s < 1.0), np.clip(s, 0.0, 1.0)
+        if k == 0:
+            return sc**3 * (6.0 * sc * sc - 15.0 * sc + 10.0)
+        if k == 1:
+            return np.where(inside, 30.0 * sc * sc * (sc - 1.0) ** 2, 0.0)
+        return np.where(inside, 60.0 * sc * (2.0 * sc - 1.0) * (sc - 1.0), 0.0)
+
+    def tri(k, t):
+        x = (t + 1.0) % 2.0 - 1.0
+        a = np.abs(x)
+        far = (1.0 - cap(0, 1.0 - a), np.sign(x) * cap(1, 1.0 - a), -cap(2, 1.0 - a))[k]
+        dist = np.where(a <= 0.5, cap(k, x), far)
+        return 1.0 - dist if k == 0 else -dist
+
+    w = 0.4 * rho
+    cut = [
+        lambda t: step(0, (rho - np.abs(t)) / w),
+        lambda t: step(1, (rho - np.abs(t)) / w) * (-np.sign(t) / w),
+        lambda t: step(2, (rho - np.abs(t)) / w) / (w * w),
+    ]
+    scaled = [lambda t, k=k: (eps / eps**k) * tri(k, t / eps) for k in range(3)]
+    centered = [lambda t: scaled[0](t) - 0.5 * eps, scaled[1], scaled[2]]
+    wave = [
+        lambda t: centered[0](t) * cut[0](t),
+        lambda t: centered[1](t) * cut[0](t) + centered[0](t) * cut[1](t),
+        lambda t: centered[2](t) * cut[0](t) + 2.0 * centered[1](t) * cut[1](t)
+        + centered[0](t) * cut[2](t),
+    ]
+    return {
+        "smoothed_abs": [lambda t, k=k: cap(k, t) for k in range(3)],
+        "smooth_step": [lambda t, k=k: step(k, t) for k in range(3)],
+        "ramp_cutoff": [
+            lambda t: step(0, (t - 0.3) / 0.2),
+            lambda t: step(1, (t - 0.3) / 0.2) / 0.2,
+            lambda t: step(2, (t - 0.3) / 0.2) / (0.2 * 0.2),
+        ],
+        "triangle_wave": [lambda t, k=k: tri(k, t) for k in range(3)],
+        "plateau_cutoff": cut,
+        "scaled_profile": scaled,
+        "product_profile": wave,
+    }
 
 
 class TestProfiles:
+    def test_jets_match_closure_formulas(self):
+        # at the cap edges, at kinks +- eta and a hair either side of both, for
+        # the smoothing the hunt uses: the jets do the closures' arithmetic, so
+        # they agree bit for bit
+        eta, eps, rho = 0.25, 0.08, 0.25
+        ks = np.arange(-3.0, 4.0)
+        near = np.concatenate([ks, ks - eta, ks + eta, ks - 0.5, ks + 0.5])
+        t = np.concatenate([near, near * (1 + 1e-9), near * (1 - 1e-9), [0.3, 0.5, 0.6 * rho, rho]])
+        t = np.concatenate([t, -t])
+        scaled = scaled_profile(triangle_wave(eta), eps, eps)
+
+        def centered(t, order=0):
+            d = scaled(t, order)
+            return (d[0] - 0.5 * eps,) + d[1:]
+
+        jets = {
+            "smoothed_abs": (smoothed_abs(eta), t * eta),
+            "smooth_step": (smooth_step(), t / 3.0 + 0.5),
+            "ramp_cutoff": (ramp_cutoff(0.3, 0.5), 0.1 * t + 0.4),
+            "triangle_wave": (triangle_wave(eta), t),
+            "plateau_cutoff": (plateau_cutoff(0.6 * rho, rho), 0.25 * rho * t),
+            "scaled_profile": (scaled, eps * t),
+            "product_profile": (product_profile(centered, plateau_cutoff(0.6 * rho, rho)), eps * t),
+        }
+        for name, reference in closure_profiles(eta, eps, rho).items():
+            jet, x = jets[name]
+            for order in range(3):
+                got = jet(x, order)
+                assert len(got) == order + 1
+                for k in range(order + 1):
+                    want = reference[k](x)
+                    np.testing.assert_array_equal(got[k], want, err_msg=name)
+
     def test_smoothed_abs_glue(self):
         eta = 0.3
         p = smoothed_abs(eta)
-        assert p.fn(np.array([0.0]))[0] == pytest.approx(3 * eta / 8)
-        assert p.fn(np.array([eta]))[0] == pytest.approx(eta)
-        assert p.d1(np.array([eta]))[0] == pytest.approx(1.0)
-        assert abs(p.d2(np.array([eta - 1e-12]))[0]) < 1e-9
+        assert p(np.array([0.0]))[0][0] == pytest.approx(3 * eta / 8)
+        assert p(np.array([eta]))[0][0] == pytest.approx(eta)
+        assert p(np.array([eta]), 1)[1][0] == pytest.approx(1.0)
+        assert abs(p(np.array([eta - 1e-12]), 2)[2][0]) < 1e-9
         t = np.linspace(-1, 1, 41)
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-8
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-8
         # FD second differences smear the third-derivative jump at the glue
         # points +-eta, an O(h) effect; the bound only needs to catch formula
         # errors, which are O(1)
-        assert np.max(np.abs(p.d2(t) - FDCheck.d2(p, t))) < 5e-3
-        assert np.all(p.d2(t) >= -1e-12)  # convex
+        assert np.max(np.abs(p(t, 2)[2] - FDCheck.fd2(p, t))) < 5e-3
+        assert np.all(p(t, 2)[2] >= -1e-12)  # convex
         outside = np.array([-0.9, 0.5, 2.0])
-        assert np.max(np.abs(p.fn(outside) - np.abs(outside))) == 0.0
+        assert np.max(np.abs(p(outside)[0] - np.abs(outside))) == 0.0
 
     def test_smooth_step(self):
         p = smooth_step()
         s = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 3.0])
-        vals = p.fn(s)
+        vals = p(s)[0]
         assert vals[0] == 0.0 and vals[1] == 0.0
         assert vals[-1] == 1.0 and vals[-2] == 1.0
         assert vals[3] == pytest.approx(0.5)
         t = np.linspace(0.01, 0.99, 30)
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-8
-        assert np.max(np.abs(p.d2(t) - FDCheck.d2(p, t))) < 1e-5
-        assert np.all(np.diff(p.fn(np.linspace(-0.5, 1.5, 50))) >= 0)
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-8
+        assert np.max(np.abs(p(t, 2)[2] - FDCheck.fd2(p, t))) < 1e-5
+        assert np.all(np.diff(p(np.linspace(-0.5, 1.5, 50))[0]) >= 0)
 
     def test_plateau_cutoff(self):
         p = plateau_cutoff(0.5, 1.0)
-        assert p.fn(np.array([0.0, 0.3, -0.5]) ).tolist() == [1.0, 1.0, 1.0]
-        assert p.fn(np.array([1.0, -2.0])).tolist() == [0.0, 0.0]
+        assert p(np.array([0.0, 0.3, -0.5]) )[0].tolist() == [1.0, 1.0, 1.0]
+        assert p(np.array([1.0, -2.0]))[0].tolist() == [0.0, 0.0]
         t = np.linspace(-1.2, 1.2, 49)
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-7
-        assert np.max(np.abs(p.d2(t) - FDCheck.d2(p, t))) < 2e-2  # d3 jumps at glue points
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-7
+        assert np.max(np.abs(p(t, 2)[2] - FDCheck.fd2(p, t))) < 2e-2  # d3 jumps at glue points
         with pytest.raises(DomainError):
             plateau_cutoff(1.0, 0.5)
 
     def test_ramp_cutoff(self):
         p = ramp_cutoff(0.3, 0.5)
-        assert p.fn(np.array([0.2]))[0] == 0.0
-        assert p.fn(np.array([0.6]))[0] == 1.0
+        assert p(np.array([0.2]))[0][0] == 0.0
+        assert p(np.array([0.6]))[0][0] == 1.0
         t = np.linspace(0.25, 0.55, 31)
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-7
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-7
 
     def test_triangle_raw(self):
         p = triangle_wave(0.0)
         t = np.array([0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1.0, 7.25])
         expect = np.array([1.0, 0.5, 0.0, 0.5, 1.0, 0.5, 0.0, 0.25])
-        assert np.max(np.abs(p.fn(t) - expect)) < 1e-12
+        assert np.max(np.abs(p(t)[0] - expect)) < 1e-12
         mid = np.array([0.2, 0.7, 1.3, -0.4])
-        assert np.max(np.abs(np.abs(p.d1(mid)) - 1.0)) == 0.0
+        assert np.max(np.abs(np.abs(p(mid, 1)[1]) - 1.0)) == 0.0
 
     def test_triangle_smoothed(self):
         eta = 0.2
         p = triangle_wave(eta)
         t = np.linspace(-3.0, 3.0, 601)  # includes every kink location
-        vals = p.fn(t)
+        vals = p(t)[0]
         assert np.min(vals) >= 3 * eta / 8 - 1e-12
         assert np.max(vals) <= 1 - 3 * eta / 8 + 1e-12
         # matches the raw wave away from kinks
         raw = triangle_wave(0.0)
         away = np.array([0.5, 1.45, -0.6, 2.5])
-        assert np.max(np.abs(p.fn(away) - raw.fn(away))) < 1e-12
+        assert np.max(np.abs(p(away)[0] - raw(away)[0])) < 1e-12
         # C^2: finite differences agree everywhere, kinks included
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-7
-        assert np.max(np.abs(p.d2(t) - FDCheck.d2(p, t))) < 1e-2  # d3 jumps at glue points
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-7
+        assert np.max(np.abs(p(t, 2)[2] - FDCheck.fd2(p, t))) < 1e-2  # d3 jumps at glue points
         # periodicity
-        assert np.max(np.abs(p.fn(t + 2.0) - p.fn(t))) < 1e-12
+        assert np.max(np.abs(p(t + 2.0)[0] - p(t)[0])) < 1e-12
 
     def test_triangle_bad_eta(self):
         with pytest.raises(DomainError):
@@ -379,11 +499,11 @@ class TestProfiles:
         base = triangle_wave(0.2)
         p = scaled_profile(base, 0.05, 0.1)
         t = np.linspace(-0.3, 0.3, 61)
-        assert np.max(np.abs(p.fn(t) - 0.05 * base.fn(t / 0.1))) < 1e-15
-        assert np.max(np.abs(p.d1(t) - FDCheck.d1(p, t))) < 1e-6
-        assert np.max(np.abs(p.d2(t) - FDCheck.d2(p, t, h=1e-5))) < 2e-2
+        assert np.max(np.abs(p(t)[0] - 0.05 * base(t / 0.1)[0])) < 1e-15
+        assert np.max(np.abs(p(t, 1)[1] - FDCheck.fd1(p, t))) < 1e-6
+        assert np.max(np.abs(p(t, 2)[2] - FDCheck.fd2(p, t, h=1e-5))) < 2e-2
         q = product_profile(p, plateau_cutoff(0.15, 0.25))
-        assert np.max(np.abs(q.d1(t) - FDCheck.d1(q, t))) < 1e-6
+        assert np.max(np.abs(q(t, 1)[1] - FDCheck.fd1(q, t))) < 1e-6
 
     def test_bad_scale(self):
         with pytest.raises(DomainError):
@@ -410,7 +530,7 @@ class TestSeparable:
         p0 = scaled_profile(triangle_wave(0.25), 0.05, 0.08)
         p1 = plateau_cutoff(0.15, 0.3)
         p2 = ramp_cutoff(0.3, 0.5)
-        expect = p0.fn(Y @ E[:, 0]) * p1.fn(Y @ E[:, 1]) * p2.fn(Y @ u0)
+        expect = p0(Y @ E[:, 0])[0] * p1(Y @ E[:, 1])[0] * p2(Y @ u0)[0]
         assert np.max(np.abs(f.value(Y) - expect)) < 1e-14
 
     def test_vanishes_on_lower_hemisphere(self):
