@@ -192,25 +192,30 @@ def largest_certified_strength(body, phi, grid, margin=1e-6):
 
     Nodewise the minimum eigenvalue is concave in s, so certifying the
     endpoint certifies the segment [0, s]; and the endpoint is available in
-    closed form: with B = Q_h - margin I = L L^T positive definite (Cholesky),
-    the constraint B + s Q_phi >= 0 is a congruence away from I + s C >= 0
-    with C = L^{-1} Q_phi L^{-T}, so the node's threshold is
-    1 / |most negative eigenvalue of C| — no search loop needed.  It runs one
-    node block at a time and evaluates the forms of phi there, caching none
-    of them.  Returns 0 when the body itself fails the margin and inf when no
-    node limits s.
+    closed form (certified_minimum), block by block, caching no forms of phi.
+    Returns 0 when the body itself fails the margin and inf when no node
+    limits s.
     """
-    if float(np.min(body.q_eigs(grid)[:, 0])) <= margin:
-        return 0.0
     Qh = body.q_stack(grid)
-    shift = margin * np.eye(Qh.shape[-1])
 
     def smallest(b):
-        L_inv = np.linalg.inv(np.linalg.cholesky(Qh[b] - shift))
-        Qp = sphere.q_batch(phi, grid.nodes[b])
-        return np.linalg.eigvalsh(L_inv @ Qp @ L_inv.transpose(0, 2, 1))[:, 0]
+        return certified_minimum(Qh[b], sphere.q_batch(phi, grid.nodes[b], first=b.start), margin)
 
-    worst = float(np.min(grid.node_values(smallest)))
-    if worst >= 0.0:
-        return math.inf
-    return 1.0 / (-worst)
+    return certified_strength(float(np.min(grid.node_values(smallest))))
+
+
+def certified_minimum(Qh, Qp, margin):
+    """Per node, the least eigenvalue of C = L^-1 Qp L^-T, L L^T = Qh - margin I:
+    Qh + s Qp >= margin is a congruence away from I + s C >= 0.  All -inf
+    when the Cholesky factorisation fails (Qh not above the margin)."""
+    try:
+        L = np.linalg.cholesky(Qh - margin * np.eye(Qh.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.full(len(Qh), -math.inf)
+    L_inv = np.linalg.inv(L)
+    return np.linalg.eigvalsh(L_inv @ Qp @ L_inv.transpose(0, 2, 1))[:, 0]
+
+
+def certified_strength(worst):
+    """The largest certified s given the least certified_minimum."""
+    return math.inf if worst >= 0.0 else 1.0 / -worst

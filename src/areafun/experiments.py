@@ -20,9 +20,10 @@ from .bodies import (
     SupportBody,
     ball,
     certify_c2plus,
+    certified_minimum,
+    certified_strength,
     combine,
     ellipsoid,
-    largest_certified_strength,
     perturb,
     realize_q,
 )
@@ -34,7 +35,6 @@ from .functionals import (
     functional_segment,
     functional_value,
     power_concavity,
-    second_variation,
 )
 from .sphere import (
     SphericalFunction,
@@ -42,6 +42,7 @@ from .sphere import (
     cap_grid,
     combination,
     constant,
+    frames,
     make_grid,
     panel_grid,
     polynomial,
@@ -50,8 +51,9 @@ from .sphere import (
     quadratic_support,
     sphere_area,
     tangent_frame,
+    tangent_jet,
 )
-from .symfun import contract2, elem_sym_batch, trace_pair
+from .symfun import contract2, contract2_batch, cofactor_batch, elem_sym_pencil, trace_pair
 
 # -- C^2 profile toolbox ----------------------------------------------------------
 #
@@ -914,42 +916,51 @@ class HuntReport:
         return self.found and self.segment_gap > 0
 
 
-def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
-    """Functional changes along body + t*s*phi and their second differences,
-    all as correlated integrals on a grid containing the support of phi.
+def _patch_sweep(f, body, phi, i, grid, margin=None):
+    """The hunt's integrals on a patch grid from one node sweep: the adjoint
+    first variation, the gradient-form second variation and the f-weighted
+    pencil coefficients I_1 .. I_i; and, given a margin, the least
+    certified_minimum (else None).  A block forms its frames, the forms of
+    body and f, and phi's gradient and forms (one jet) once.  phi's value is
+    taken from phi.value, as in first_variation: the jet sits at u/|u|."""
 
-    Returns (delta, delta_est, d2, d2_est): delta[k] integrates the density
-    change at ts[k]; d2[step][j] integrates the *pointwise* second difference
-    over centers ts[step:-step].  Forming the second difference inside the
-    integrand cancels the part linear in s node by node, so its quadrature
-    estimate lives at the curvature scale — integrating first and differencing
-    after would bury the curvature under the linear term's quadrature error.
-    The Hessian forms of phi are evaluated per node block, not cached.
-    """
-    ts = np.asarray(ts, dtype=float)
+    def per_block(b):
+        U = grid.nodes[b]
+        E = frames(U)
+        Qh, Qf = (q_batch(g, U, E, first=b.start) for g in (body.h, f))
+        G, Qp = tangent_jet(phi, U, E, first=b.start)
+        pv, gp = phi.value(U), np.einsum("mia,mi->ma", E, G)  # gp: frame components
+        C, M = cofactor_batch(Qh, i), contract2_batch(Qh, i, Qf)
+        rows = [
+            pv * np.einsum("mjk,mjk->m", C, Qf),
+            pv * pv * np.einsum("mjj->m", M) - np.einsum("mj,mjk,mk->m", gp, M, gp),
+            *(f.value(U) * elem_sym_pencil(Qh, Qp, i, cof=C)),
+        ]
+        return rows if margin is None else rows + [certified_minimum(Qh, Qp, margin)]
+
+    vals = grid.node_values(per_block, (2 + i + (margin is not None),))
+    worst = None if margin is None else float(np.min(vals[-1]))
+    return grid.weighted_sum(vals[: 2 + i]), worst
+
+
+def _pencil_segment(fine, coarse, s, ts):
+    """(delta, delta_est, d2, d2_est) along body + t*s*phi from the pencil
+    integrals I_j of a patch grid (fine) and its coarse grid: delta[k] =
+    sum_j I_j (ts[k] s)^j, d2[step] its second differences over the centers
+    ts[step:-step], each estimate |fine - coarse|.  The part linear in s must
+    cancel before integration — integrating first and differencing after
+    would bury the curvature under the linear term's quadrature error — and
+    on the pencil it cancels exactly: d2 sums only over j >= 2."""
     steps = [2**k for k in range(len(ts)) if 2 ** (k + 1) < len(ts)]
+    powers = ts[:, None] ** np.arange(1, len(fine) + 1)
+    bends = {h: powers[2 * h :] - 2.0 * powers[h:-h] + powers[: -2 * h] for h in steps}
 
-    def integral(g):
-        Q0 = body.q_stack(g)
+    def arrays(I):
+        c = I * s ** np.arange(1, len(I) + 1)
+        return powers @ c, {h: bend[:, 1:] @ c[1:] for h, bend in bends.items()}
 
-        def pencil(b):
-            base, Qp = elem_sym_batch(Q0[b], i), q_batch(phi, g.nodes[b])
-            return [elem_sym_batch(Q0[b] + (t * s) * Qp, i) - base for t in ts]
-
-        rows = g.node_values(pencil, (len(ts),))
-        fv = f.value(g.nodes)
-        sums = [g.weighted_sum(rows, fv)]
-        for h in steps:  # one step's second differences at a time
-            d2 = g.node_values(
-                lambda b: rows[2 * h :, b] - 2.0 * rows[h:-h, b] + rows[: -2 * h, b],
-                (len(ts) - 2 * h,),
-            )
-            sums.append(g.weighted_sum(d2, fv))
-        return np.concatenate(sums)
-
-    split = np.cumsum([len(ts)] + [len(ts) - 2 * h for h in steps[:-1]])
-    value, est = (np.split(a, split) for a in grid.paired(integral))
-    return value[0], est[0], dict(zip(steps, value[1:])), dict(zip(steps, est[1:]))
+    (delta, d2), (delta_c, d2_c) = arrays(fine), arrays(coarse)
+    return delta, np.abs(delta - delta_c), d2, {h: np.abs(d2[h] - d2_c[h]) for h in steps}
 
 
 def _refine_breaks(breaks, width, max_panel):
@@ -1015,8 +1026,10 @@ def bm_violation_hunt(
     which power concavity forbids.  The hit is then confirmed directly by a
     non-concave sampled i-th root along the segment toward K + s*phi, using
     correlated difference integrals on a patch grid resolving the
-    oscillation.  Returns a HuntReport either way; raises SearchError only
-    when the pointwise precondition fails.
+    oscillation.  Each patch grid is walked once (_patch_sweep), so the
+    certified strength s is computed with the criterion, not after it
+    passes.  Returns a HuntReport either way; raises SearchError only when
+    the pointwise precondition fails.
     """
     if i < 2:
         raise DomainError("order must be >= 2: order 1 has no concavity criterion")
@@ -1055,8 +1068,9 @@ def bm_violation_hunt(
                 phi = oscillating_phi(u_star, v_amb, rho, eps, n, eta=eta)
                 patch = _oscillation_panel_grid(phi)
 
-                dF, edF = first_variation(f, K, phi, i, patch, form="adjoint")
-                d2F, ed2F = second_variation(f, K, phi, i, patch, form="gradient")
+                fine, worst = _patch_sweep(f, K, phi, i, patch, margin=1e-6)
+                coarse, _ = _patch_sweep(f, K, phi, i, patch.coarse())
+                (dF, d2F), (edF, ed2F) = fine[:2].tolist(), np.abs(fine[:2] - coarse[:2]).tolist()
                 value, vtol = power_concavity(i, F, estF, dF, edF, d2F, ed2F)
                 row = {
                     "stage": "criterion",
@@ -1074,7 +1088,7 @@ def bm_violation_hunt(
                     continue
 
                 # confirm: sampled i-th root bends upward along K -> K + s*phi
-                s_max = min(largest_certified_strength(K, phi, patch), 1.0)
+                s_max = min(certified_strength(worst), 1.0)
                 if s_max <= 0:
                     diagnostics.append(
                         {"stage": "certify", "delta_reg": delta_reg, "rho": rho, "eps": eps}
@@ -1082,9 +1096,7 @@ def bm_violation_hunt(
                     continue
                 s = 0.8 * s_max
                 ts = np.linspace(0.0, 1.0, t_count)
-                delta, dests, d2_int, d2_est = _segment_probe_arrays(
-                    f, K, phi, i, s, ts, patch
-                )
+                delta, dests, d2_int, d2_est = _pencil_segment(fine[2:], coarse[2:], s, ts)
                 series = F + delta
                 if np.min(series) <= 0:
                     continue

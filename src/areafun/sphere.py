@@ -140,21 +140,21 @@ class SphericalFunction:
         return H[0] if single else H
 
     def _analytic_parts(self, X, order):
-        """r = |x|, y = x/r, c = phi(y) - <grad phi(y), y> and the top
-        derivative of phi at y: the gradient at order 1, the Hessian at 2."""
+        """r = |x|, y = x/r, c = phi(y) - <grad phi(y), y> and the jet of
+        phi at y up to the given order (1 or 2)."""
         r = np.linalg.norm(X, axis=1)
         Y = X / r[:, None]
         jet = [np.asarray(d, dtype=float) for d in self._jet(Y, order)]
-        return r, Y, jet[0] - np.sum(jet[1] * Y, axis=1), jet[-1]
+        return r, Y, jet[0] - np.sum(jet[1] * Y, axis=1), jet
 
     def _ext_grad_analytic(self, X):
-        _, Y, c, g = self._analytic_parts(X, 1)
-        return g + c[:, None] * Y
+        _, Y, c, jet = self._analytic_parts(X, 1)
+        return jet[1] + c[:, None] * Y
 
     def _ext_hess_analytic(self, X):
         # chain rule for fbar(x) = r phi(y), y = x/r; the result annihilates
         # the radial direction and is (-1)-homogeneous in r by construction
-        r, Y, c, H = self._analytic_parts(X, 2)
+        r, Y, c, (_, _, H) = self._analytic_parts(X, 2)
         Hy = (H @ Y[:, :, None])[:, :, 0]
         hyy = np.sum(Hy * Y, axis=1)
         I = np.eye(self.n)
@@ -463,40 +463,47 @@ def q_matrix(f, u, frame=None):
     return q_batch(f, u[None, :], E[None])[0]
 
 
-def q_batch(f, U, frame_stack=None):
+def tangent_jet(f, U, E, first=0):
+    """Extension gradient and Hessian form of an analytic f at a node block U
+    with frames E, (m, n) and (m, n-1, n-1), from one order-2 jet.  Raises
+    EvaluationError naming node first + k if the form at U[k] is not finite."""
+    r, Y, c, (_, g, H) = f._analytic_parts(U, 2)
+    diag = np.arange(E.shape[-1])
+    Q = E.transpose(0, 2, 1) @ H @ E
+    Q /= r[:, None, None]
+    Q[:, diag, diag] += (c / r)[:, None]
+    finite = np.isfinite(Q).reshape(len(Q), -1).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise EvaluationError(
+            f"non-finite Hessian form of {f.label} at node {first + bad}: u={U[bad]}"
+        )
+    Q += Q.transpose(0, 2, 1)  # numpy buffers the overlapping operand
+    Q *= 0.5
+    return g + c[:, None] * Y, Q
+
+
+def q_batch(f, U, frame_stack=None, first=0):
     """q_matrix over many nodes: (m, n) -> (m, n-1, n-1).
 
     Frame columns are orthogonal to u, so for analytic functions every radial
     term of the extension Hessian drops out and the form is
     sym(E^T Hess phi(y) E)/r + (phi(y) - <grad phi(y), y>)/r * I with
-    y = u/|u|, r = |u|; the n x n extension Hessian is never built.
-    Finite-difference functions go through extension_hessian.  The nodes go
-    through in node blocks, each with its own frames unless frame_stack is
-    given, written into one preallocated stack.  Raises EvaluationError
-    naming the first node whose form is not finite.
+    y = u/|u|, r = |u| (tangent_jet).  Finite-difference functions go through
+    extension_hessian.  The nodes go through in node blocks, each with its own
+    frames unless frame_stack is given, into one preallocated stack.  Raises
+    EvaluationError naming the first non-finite form's node, plus first.
     """
     U = np.asarray(U, dtype=float)
     N = U.shape[-1] - 1
     Q = np.empty((len(U), N, N))
-    diag = np.arange(N)
     for b in node_blocks(len(U)):
         E = frames(U[b]) if frame_stack is None else frame_stack[b]
-        Et, Qb = E.transpose(0, 2, 1), Q[b]
-        if f.derivative_mode != "analytic":
-            np.matmul(Et @ f.extension_hessian(U[b]), E, out=Qb)
+        if f.derivative_mode == "analytic":
+            Q[b] = tangent_jet(f, U[b], E, first + b.start)[1]
         else:
-            r, _, c, H = f._analytic_parts(U[b], 2)
-            np.matmul(Et @ H, E, out=Qb)
-            Qb /= r[:, None, None]
-            Qb[:, diag, diag] += (c / r)[:, None]
-            finite = np.isfinite(Qb).reshape(len(Qb), -1).all(axis=1)
-            if not finite.all():
-                bad = b.start + int(np.argmin(finite))
-                raise EvaluationError(
-                    f"non-finite Hessian form of {f.label} at node {bad}: u={U[bad]}"
-                )
-        Qb += Qb.transpose(0, 2, 1)  # numpy buffers the overlapping operand
-        Qb *= 0.5
+            Qb = E.transpose(0, 2, 1) @ f.extension_hessian(U[b]) @ E
+            Q[b] = 0.5 * (Qb + Qb.transpose(0, 2, 1))
     return Q
 
 
@@ -573,11 +580,11 @@ class QuadratureGrid:
             out[..., b] = per_block(b)
         return out
 
-    def weighted_sum(self, vals, factor=None):
-        """Quadrature sum over the node axis (the last) of per-node values.
-
-        factor, one value per node, multiplies the weights.  Raises
-        EvaluationError naming the first node where vals is not finite.
+    def weighted_sum(self, vals):
+        """Quadrature sum over the node axis (the last) of per-node values,
+        one row at a time, so a row's sum does not depend on the rows beside
+        it.  Raises EvaluationError naming the first node where vals is not
+        finite.
         """
         vals = np.asarray(vals, dtype=float)
         m = len(self.nodes)
@@ -587,8 +594,8 @@ class QuadratureGrid:
         if not finite.all():
             bad = int(np.argmin(finite.reshape(-1, m).all(axis=0)))
             raise EvaluationError(f"integrand not finite at node {bad}: u={self.nodes[bad]}")
-        out = vals @ (self.weights if factor is None else factor * self.weights)
-        return float(out) if out.ndim == 0 else out
+        out = np.array([row @ self.weights for row in vals.reshape(-1, m)])
+        return float(out[0]) if vals.ndim == 1 else out.reshape(vals.shape[:-1])
 
     def paired(self, integral):
         """(I(grid), |I(grid) - I(coarse)|) for integral(g), a scalar or array:

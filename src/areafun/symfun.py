@@ -328,6 +328,28 @@ def contract2_batch(As, i, Ws):
     return np.einsum("...ij,...jk,...lk->...il", V, Mb, V)
 
 
+def elem_sym_pencil(As, Bs, i, cof=None):
+    """Coefficients c_1 .. c_i of e_i(A + tau B) - e_i(A) = sum_k c_k tau^k over
+    stacks, (..., N, N) twice -> (i, ...).  By multilinearity (Schneider,
+    Convex Bodies, 2nd ed., ch. 5) c_k = binom(N, i) binom(i, k)
+    D(A[i-k], B[k], I[N-i]); in closed form c_1 = <cofactor(A, i), B> (cof,
+    if given), c_2 = <contract2(A, i, B), B>/2 and c_i = e_i(B)."""
+    As, Bs = np.asarray(As, dtype=float), np.asarray(Bs, dtype=float)
+    N = As.shape[-1]
+    C = cofactor_batch(As, i) if cof is None else cof
+    out = [np.einsum("...jk,...jk->...", C, Bs)]
+    for k in range(2, i + 1):
+        if k == i:
+            out.append(elem_sym_batch(Bs, i))
+        elif k == 2:
+            out.append(0.5 * np.einsum("...jk,...jk->...", contract2_batch(As, i, Bs), Bs))
+        else:
+            I = np.broadcast_to(np.eye(N), As.shape)
+            D = mixed_discriminant_batch([As] * (i - k) + [Bs] * k + [I] * (N - i))
+            out.append(math.comb(N, i) * math.comb(i, k) * D)
+    return np.stack(out)
+
+
 def mixed_discriminant(mats):
     """Mixed discriminant D(A_1, .., A_N) normalized so D(A, .., A) = det(A)."""
     mats = [check_symmetric(M) for M in mats]

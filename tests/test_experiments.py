@@ -3,14 +3,20 @@ second-order violation hunt."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from areafun.bodies import ball, ellipsoid
+from areafun import sphere
+from areafun.bodies import SupportBody, ball, certified_strength, ellipsoid, largest_certified_strength, realize_q
 from areafun.conditions import EigenSumScan, check_mi
-from areafun.errors import DomainError, SearchError
+from areafun.errors import DomainError, EvaluationError, SearchError
 from areafun.experiments import (
+    _oscillation_panel_grid,
+    _patch_sweep,
+    _pencil_segment,
+    _violating_form,
     bm_segment_test,
     bm_violation_hunt,
     check_nested,
@@ -22,7 +28,9 @@ from areafun.experiments import (
     oscillating_phi,
     theorem_roundtrip,
 )
+from areafun.functionals import first_variation, second_variation
 from areafun.sphere import constant, make_grid, polynomial, q_batch, tangent_frame
+from areafun.symfun import contract2, elem_sym_batch
 
 E3 = np.eye(3)
 
@@ -210,6 +218,112 @@ class TestViolationHunt:
             bm_violation_hunt(constant(3, 1.0), 2, grid3)
         with pytest.raises(DomainError):
             bm_violation_hunt(constant(3, 1.0), 1, grid3)
+
+
+def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
+    """Reference for _pencil_segment: the sampled segment probe it replaced.
+    Each node's row holds the density change at every ts, and the second
+    differences are formed row by row before integration."""
+    ts = np.asarray(ts, dtype=float)
+    steps = [2**k for k in range(len(ts)) if 2 ** (k + 1) < len(ts)]
+
+    def integral(g):
+        Q0 = body.q_stack(g)
+
+        def pencil(b):
+            base, Qp = elem_sym_batch(Q0[b], i), q_batch(phi, g.nodes[b])
+            return [elem_sym_batch(Q0[b] + (t * s) * Qp, i) - base for t in ts]
+
+        fv = f.value(g.nodes)
+        rows = g.node_values(pencil, (len(ts),)) * fv
+        sums = [g.weighted_sum(rows)]
+        for h in steps:
+            sums.append(g.weighted_sum(rows[2 * h :] - 2.0 * rows[h:-h] + rows[: -2 * h]))
+        return np.concatenate(sums)
+
+    split = np.cumsum([len(ts)] + [len(ts) - 2 * h for h in steps[:-1]])
+    value, est = (np.split(a, split) for a in grid.paired(integral))
+    return value[0], est[0], dict(zip(steps, value[1:])), dict(zip(steps, est[1:]))
+
+
+def _hunt_setting(f, i, eps):
+    """The hunt's body and oscillation at the saddle's worst node e1."""
+    u = np.eye(f.n)[0]
+    A, Qf, E = _violating_form(f, i, u, 1e-3)
+    w, W = np.linalg.eigh(contract2(A, i, Qf))
+    return realize_q(A, u), oscillating_phi(u, E @ W[:, 0], 0.25, eps, f.n, eta=0.25)
+
+
+class TestPatchSweep:
+    @pytest.mark.parametrize(
+        "label, i, eps, order", [("saddle3-0.45", 2, 0.02, 6), ("saddle4-0.55", 3, 0.08, 3)]
+    )
+    def test_matches_the_stage_references(self, by_label, label, i, eps, order):
+        f = by_label[label].f
+        K, phi = _hunt_setting(f, i, eps)
+        patch = _oscillation_panel_grid(phi, order=order)
+        assert len(patch) > sphere.NODE_BLOCK
+        fine, worst = _patch_sweep(f, K, phi, i, patch, margin=1e-6)
+        coarse, none = _patch_sweep(f, K, phi, i, patch.coarse())
+        assert none is None
+        refs = [
+            first_variation(f, K, phi, i, patch, form="adjoint"),
+            second_variation(f, K, phi, i, patch, form="gradient"),
+        ]
+        for k, (value, est) in enumerate(refs):
+            assert fine[k] == pytest.approx(value, rel=1e-13, abs=0)
+            assert abs(fine[k] - coarse[k]) == pytest.approx(est, rel=1e-13, abs=1e-300)
+        s_max = largest_certified_strength(K, phi, patch)
+        assert certified_strength(worst) == s_max and 0 < s_max < math.inf
+        s, ts = 0.8 * min(s_max, 1.0), np.linspace(0.0, 1.0, 9)
+        delta, _, d2, _ = _pencil_segment(fine[2:], coarse[2:], s, ts)
+        ref_delta, _, ref_d2, ref_d2_est = _segment_probe_arrays(f, K, phi, i, s, ts, patch)
+        # the reference subtracts e_i(Q_K) node by node, so it resolves delta
+        # only to the rounding of the integral of |f e_i(Q_K)| (about 1e-16
+        # of it, some 1e-9 of delta on the n=3 patch)
+        rounding = patch.weighted_sum(np.abs(f.value(patch.nodes) * elem_sym_batch(K.q_stack(patch), i)))
+        assert np.all(np.abs(delta - ref_delta) <= 1e-10 * np.abs(ref_delta) + 1e-15 * rounding)
+        assert sorted(d2) == sorted(ref_d2) == [1, 2, 4]
+        for h in d2:
+            assert np.all(np.abs(d2[h] - ref_d2[h]) <= ref_d2_est[h]), h
+
+    @pytest.mark.parametrize("slot", ["body", "weight", "phi"])
+    def test_nonfinite_form_names_global_node(self, slot):
+        grid = make_grid(3, sphere.NODE_BLOCK + 100)
+        bad = sphere.NODE_BLOCK + 37  # in the second block
+
+        def jet(Y, order):
+            H = np.zeros((len(Y), 3, 3))
+            H[np.abs(Y - grid.nodes[bad]).max(axis=1) < 1e-12, 0, 1] = np.nan
+            return (np.ones(len(Y)), np.zeros_like(Y), H)[: order + 1]
+
+        nan = sphere.SphericalFunction(3, jet, "nan-late")
+        fs = {"body": constant(3, 1.0), "weight": constant(3, 1.0), "phi": constant(3, 0.5)}
+        fs[slot] = nan
+        with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
+            _patch_sweep(fs["weight"], SupportBody(fs["body"]), fs["phi"], 2, grid, margin=1e-6)
+
+    def test_one_setting_holds_no_form_stack(self, by_label):
+        # the n=4 benchmark setting: two sweeps and the segment arrays stay
+        # below one (m, N, N) stack of the patch and leave its caches empty
+        f = by_label["saddle4-0.55"].f
+        K, phi = _hunt_setting(f, 3, 0.08)
+        patch = _oscillation_panel_grid(phi)
+        coarse = patch.coarse()
+        m, N = len(patch), f.n - 1
+        assert m >= 500_000
+        tracemalloc.start()
+        try:
+            fine, worst = _patch_sweep(f, K, phi, 3, patch, margin=1e-6)
+            rough, _ = _patch_sweep(f, K, phi, 3, coarse)
+            _pencil_segment(fine[2:], rough[2:], 0.8 * min(certified_strength(worst), 1.0),
+                            np.linspace(0.0, 1.0, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * N * N * 8, peak
+        for g in (patch, coarse):
+            assert len(g._q) == 0 and len(g._eigs) == 0
 
 
 class TestRoundtrip:

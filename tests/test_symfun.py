@@ -24,6 +24,7 @@ from areafun.symfun import (
     elem_sym_batch,
     elem_sym_from_eigs,
     elem_sym_kronecker,
+    elem_sym_pencil,
     mixed_discriminant,
     mixed_discriminant_batch,
     pair_deleted_elem_sym,
@@ -318,3 +319,23 @@ class TestMixedDiscriminant:
             [mixed_discriminant([s[k] for s in stacks]) for k in range(4)]
         )
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
+
+
+class TestPencil:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_coefficients_sum_to_the_pencil(self, n):
+        # N = n - 1; at N = 4 cofactor_batch and contract2_batch take the
+        # eigen route and 3 <= k < i = 4 needs a mixed discriminant
+        N = n - 1
+        rng = np.random.default_rng(100 + n)
+        A = np.stack([rand_sym(N, rng=rng) for _ in range(64)])
+        B = np.stack([rand_sym(N, 3.0, rng=rng) for _ in range(64)])
+        norm = lambda S: np.linalg.norm(S, 2, axis=(1, 2))
+        for i in range(1, N + 1):
+            c = elem_sym_pencil(A, B, i)
+            assert c.shape == (i, 64)
+            for tau in (-1.3, 1e-3, 0.4, 2.5):
+                got = sum(c[k - 1] * tau**k for k in range(1, i + 1))
+                want = elem_sym_batch(A + tau * B, i) - elem_sym_batch(A, i)
+                scale = math.comb(N, i) * (norm(A) + abs(tau) * norm(B)) ** i
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, i, tau)
