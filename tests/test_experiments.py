@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from areafun import sphere
-from areafun.bodies import SupportBody, ball, certified_strength, ellipsoid, largest_certified_strength, realize_q
+from areafun.bodies import (
+    SupportBody,
+    ball,
+    certified_strength,
+    ellipsoid,
+    largest_certified_strength,
+    realize_q,
+)
 from areafun.conditions import EigenSumScan, check_mi
 from areafun.errors import DomainError, EvaluationError, SearchError
 from areafun.experiments import (
@@ -281,7 +288,8 @@ class TestPatchSweep:
         # the reference subtracts e_i(Q_K) node by node, so it resolves delta
         # only to the rounding of the integral of |f e_i(Q_K)| (about 1e-16
         # of it, some 1e-9 of delta on the n=3 patch)
-        rounding = patch.weighted_sum(np.abs(f.value(patch.nodes) * elem_sym_batch(K.q_stack(patch), i)))
+        dens = elem_sym_batch(K.q_stack(patch), i)
+        rounding = patch.weighted_sum(np.abs(f.value(patch.nodes) * dens))
         assert np.all(np.abs(delta - ref_delta) <= 1e-10 * np.abs(ref_delta) + 1e-15 * rounding)
         assert sorted(d2) == sorted(ref_d2) == [1, 2, 4]
         for h in d2:
@@ -316,8 +324,8 @@ class TestPatchSweep:
         try:
             fine, worst = _patch_sweep(f, K, phi, 3, patch, margin=1e-6)
             rough, _ = _patch_sweep(f, K, phi, 3, coarse)
-            _pencil_segment(fine[2:], rough[2:], 0.8 * min(certified_strength(worst), 1.0),
-                            np.linspace(0.0, 1.0, 9))
+            s = 0.8 * min(certified_strength(worst), 1.0)
+            _pencil_segment(fine[2:], rough[2:], s, np.linspace(0.0, 1.0, 9))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
