@@ -25,11 +25,7 @@ from .conditions import (
     ConditionReport,
     EigenSumScan,
     check_mi,
-    check_pointwise_ii25,
-    downward_closed,
     eigen_sum,
-    i_convexity_check,
-    mi_monotone_in_i,
 )
 from .errors import (
     ConstructionError,
@@ -53,7 +49,6 @@ from .experiments import (
 )
 from .functionals import (
     ConcavityReport,
-    area_density,
     concavity_criterion,
     convention_factor,
     first_variation,
@@ -61,16 +56,12 @@ from .functionals import (
     functional_segment,
     functional_value,
     mixed_area_integral,
-    mixed_functional,
     mixed_volume_smooth,
     second_variation,
     volume,
 )
 from .identities import (
     IbpReport,
-    cheng_yau_pointwise,
-    euler_homogeneity_residual,
-    homogeneity_constant,
     ibp_second_order_residual,
     ibp_symmetry_residual,
 )

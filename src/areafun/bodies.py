@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from . import sphere
-from .sphere import SphericalFunction, q_matrix, tangent_frame
+from .sphere import SphericalFunction, tangent_frame
 
 
 class SupportBody:
@@ -40,9 +40,6 @@ class SupportBody:
 
     def support(self, U):
         return self.h.value(U)
-
-    def q_at(self, u, frame=None):
-        return q_matrix(self.h, u, frame=frame)
 
     def q_stack(self, grid):
         """Hessian forms at all grid nodes, (m, n-1, n-1); cached on the grid."""

@@ -1,35 +1,29 @@
-"""Eigenvalue-sum conditions on spherical functions and their equivalent forms.
+"""Eigenvalue-sum conditions on spherical functions.
 
 The order-i condition on f asks that at every unit vector u the sum of the
 n-i smallest eigenvalues of q_matrix(f, u) be nonnegative.  It is the exact
 dividing line for monotonicity of the order-i weighted functionals: decisive
 in both directions for C^2 weights.
 
-Equivalences implemented here (each independently checkable):
-  * subset form — all (n-i)-element subsets of the spectrum have nonnegative
-    sum ⟺ the smallest such subset (the bottom n-i eigenvalues) does;
-  * trace form — trace(cofactor(A, i) Q) >= 0 for every positive definite A;
-    brute-forced by sampling plus exact near-extremal candidates built from
-    Q's own eigenbasis;
-  * diagonal reduction — for diagonal A it suffices to scan 0/1 diagonals.
-
-A stronger sufficient condition, "order-i convexity" (the first i elementary
-symmetric functions of the spectrum are nonnegative), is provided for
-cross-checks; the implication is one-way.
+check_mi decides it on a grid through the subset form: all (n-i)-element
+subsets of the spectrum have nonnegative sum ⟺ the smallest such subset (the
+bottom n-i eigenvalues) does.  lemma_equiv_bruteforce brute-forces the
+diagonal reduction behind it: the trace form trace(cofactor(A, i) diag(mu))
+is nonnegative for every nonnegative diagonal A exactly when every
+(N-i+1)-subset of mu has nonnegative sum.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .sphere import q_batch, q_matrix, sphere_area, tangent_frame
-from .symfun import deleted_elem_sym, elem_sym_from_eigs, trace_pair
+from .symfun import deleted_elem_sym
 
 ANALYTIC_TOL = 1e-7
 FD_TOL = 1e-4
@@ -64,20 +58,6 @@ class ConditionReport:
         """Non-violation; 'marginal' maps to True for theorem-facing checks."""
         return self.verdict != "violated"
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "worst_value": self.worst_value,
-                "worst_node": [float(x) for x in self.worst_node],
-                "order": self.order,
-                "grid_id": self.grid_id,
-                "tolerance": self.tolerance,
-                "refined": self.refined,
-            },
-            sort_keys=True,
-        )
-
 
 class EigenSumScan:
     """One eigendecomposition of Q(f, .) over a grid, queried for every order."""
@@ -89,7 +69,6 @@ class EigenSumScan:
         self.grid = grid
         Q = q_batch(f, grid.nodes)
         lam = np.linalg.eigvalsh(Q)  # ascending rows
-        self.eig_stack = lam
         self.cumsums = np.cumsum(lam, axis=1)
 
     def sums(self, i):
@@ -215,34 +194,6 @@ def check_mi(f, i, grid, tol=None, refine=True, scan=None):
     )
 
 
-def mi_monotone_in_i(f, grid, tol=None, refine=True):
-    """Reports for every order 1..n-1, sharing one eigendecomposition.
-
-    Non-violation is downward-closed in the order: pointwise, once the sum of
-    the k smallest eigenvalues is nonnegative the k-th smallest exceeds their
-    mean, so appending larger eigenvalues cannot turn the sum negative.
-    """
-    scan = EigenSumScan(f, grid)
-    return [
-        check_mi(f, i, grid, tol=tol, refine=refine, scan=scan)
-        for i in range(1, f.n)
-    ]
-
-
-def downward_closed(reports):
-    """Check the implication structure of a list of order-indexed reports."""
-    ordered = sorted(reports, key=lambda r: r.order)
-    ok_flags = [r.ok for r in ordered]
-    # once violated at some order, all higher orders must be violated too
-    seen_violation = False
-    for flag in ok_flags:
-        if not flag:
-            seen_violation = True
-        elif seen_violation:
-            return False
-    return True
-
-
 # -- diagonal reduction (subset form vs 0/1 scan) -----------------------------
 
 
@@ -278,135 +229,3 @@ def lemma_equiv_bruteforce(mu, i, trials=1000, seed=0):
     subset_sums = [sum(c) for c in itertools.combinations(mu, N - i + 1)]
     rhs_verdict = bool(min(subset_sums) >= -tol)
     return lhs_verdict, rhs_verdict
-
-
-def min_subset_sum(mu, size):
-    mu = np.sort(np.asarray(mu, dtype=float))
-    if not (1 <= size <= len(mu)):
-        raise DomainError("subset size out of range")
-    return float(np.sum(mu[:size]))
-
-
-# -- pointwise trace form ------------------------------------------------------
-
-
-@dataclass
-class PointwiseReport:
-    """Pointwise trace-form check at a single direction."""
-
-    verdict: str
-    subset_verdict: str
-    agree: bool
-    min_trace: float
-    eigenvalues: np.ndarray
-    witness: np.ndarray | None = None
-
-    @property
-    def ok(self):
-        return self.verdict != "violated"
-
-
-def check_pointwise_ii25(f, u, i, trials=200, seed=0, tol=None):
-    """Trace-form condition at one point: trace_pair(A, Q(f,u), i) >= 0, A > 0.
-
-    Samples Wishart-style A = G G^T + 1e-6 I, normalised to unit spectral
-    norm (the sign of the trace form is scale-invariant), and adds exact
-    near-extremal candidates V diag(1_P + delta) V^T over all (i-1)-subsets P
-    in Q's eigenbasis V — those approach the minimal subset sum as delta -> 0.
-    The verdict must agree with the subset form on Q's eigenvalues.
-    """
-    u = np.asarray(u, dtype=float)
-    n = f.n
-    if not (1 <= i <= n - 1):
-        raise DomainError(f"order must satisfy 1 <= i <= {n - 1}")
-    if tol is None:
-        tol = default_tolerance(f)
-    Q = q_matrix(f, u)
-    mu, V = np.linalg.eigh(Q)
-    N = n - 1
-
-    rng = np.random.default_rng(seed)
-    candidates = []
-    for _ in range(trials):
-        G = rng.normal(size=(N, N))
-        A = G @ G.T + 1e-6 * np.eye(N)
-        candidates.append(A / np.linalg.eigvalsh(A)[-1])
-    for P in itertools.combinations(range(N), i - 1):
-        for delta in (1e-2, 1e-3):
-            d = np.full(N, delta)
-            d[list(P)] += 1.0
-            A = (V * d) @ V.T
-            candidates.append(A / np.max(d))
-
-    worst = math.inf
-    witness = None
-    for A in candidates:
-        val = trace_pair(A, Q, i)
-        if val < worst:
-            worst, witness = val, A
-    # trace values scale with |Q|; tolerance follows suit
-    tol_eff = tol * (1.0 + float(np.linalg.norm(Q)))
-
-    subset_worst = min_subset_sum(mu, n - i)
-    report = PointwiseReport(
-        verdict=_verdict(worst, tol_eff),
-        subset_verdict=_verdict(subset_worst, tol_eff),
-        agree=False,
-        min_trace=float(worst),
-        eigenvalues=mu,
-        witness=witness if worst < -tol_eff else None,
-    )
-    report.agree = report.ok == (report.subset_verdict != "violated")
-    return report
-
-
-# -- sufficient condition: leading elementary symmetric functions --------------
-
-
-@dataclass
-class ConvexityReport:
-    verdict: str
-    order: int
-    margins: list
-    worst_order: int
-    worst_value: float
-    worst_node: np.ndarray
-    tolerance: float
-
-    @property
-    def ok(self):
-        return self.verdict != "violated"
-
-
-def i_convexity_check(f, i, grid, tol=None, scan=None):
-    """Nonnegativity of elem-sym functions 1..i of the spectrum of Q(f, .).
-
-    Implies the order-i eigenvalue-sum condition (the converse fails): with
-    e_1..e_i all nonnegative the spectrum cannot contain enough negative mass
-    for any (n-i)-subset to dip below zero.
-    """
-    if scan is None:
-        scan = EigenSumScan(f, grid)
-    if tol is None:
-        tol = default_tolerance(f)
-    if not (1 <= i <= f.n - 1):
-        raise DomainError(f"order must satisfy 1 <= i <= {f.n - 1}")
-    margins = []
-    worst_value, worst_order, worst_node = math.inf, 0, None
-    for j in range(1, i + 1):
-        ej = elem_sym_from_eigs(scan.eig_stack, j)
-        k = int(np.argmin(ej))
-        margins.append(float(ej[k]))
-        if ej[k] < worst_value:
-            worst_value = float(ej[k])
-            worst_order = j
-            worst_node = scan.grid.nodes[k].copy()
-    return ConvexityReport(
-        verdict=_verdict(worst_value, tol),
-        order=int(i),
-        margins=margins,
-        worst_order=worst_order,
-        worst_value=worst_value,
-        worst_node=worst_node,
-        tolerance=float(tol),
-    )

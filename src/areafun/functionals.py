@@ -44,19 +44,13 @@ def _check_order(n, i):
         raise DomainError(f"order must satisfy 1 <= i <= {n - 1}, got {i}")
 
 
-def area_density(body, i, grid):
-    """Per-node order-i curvature density elem_sym(Q(h,u), i) on the grid."""
-    _check_order(body.n, i)
-    return elem_sym_batch(body.q_stack(grid), i)
-
-
 def functional_value(f, body, i, grid):
     """F(K) = int f * density_i(K); returns (value, error_estimate)."""
     if f.n != body.n:
         raise DomainError("weight function and body live in different dimensions")
     _check_order(body.n, i)
 
-    return grid.paired(_node_integral(body, lambda U, Q: f.value(U) * elem_sym_batch(Q, i)))
+    return grid.paired(_node_integral(body, lambda U, Q, _: f.value(U) * elem_sym_batch(Q, i)))
 
 
 def functional_difference(f, body_k, body_l, i, grid):
@@ -125,18 +119,6 @@ def mixed_area_integral(f, bodies, grid):
     return grid.paired(integral)
 
 
-def mixed_functional(f, body, i, companions, grid):
-    """binom(n-1, i) * int f * D(Q_K x i, Q_companions) — order-i functional
-    relative to companion bodies instead of the unit ball."""
-    n = body.n
-    _check_order(n, i)
-    if len(companions) != n - 1 - i:
-        raise DomainError(f"need {n - 1 - i} companion bodies, got {len(companions)}")
-    val, est = mixed_area_integral(f, [body] * i + list(companions), grid)
-    c = convention_factor(n, i)
-    return c * val, c * est
-
-
 def mixed_volume_smooth(bodies, grid):
     """V(K_1, ..., K_n) = (1/n) int h_{K_1} D(Q_{K_2}, ..., Q_{K_n}) du.
 
@@ -165,13 +147,13 @@ def volume(body, grid):
 
 
 def _node_integral(body, vals):
-    """Per-grid integral g -> I(g) of the per-node values vals(U, Q), with U a
-    node block of g and Q the body's Hessian forms there, formed block by
-    block into one array and summed once."""
+    """Per-grid integral g -> I(g) of the per-node values vals(U, Q, first),
+    with U a node block of g starting at node first and Q the body's Hessian
+    forms there, formed block by block into one array and summed once."""
 
     def integral(g):
         Q = body.q_stack(g)
-        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b])))
+        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b], b.start)))
 
     return integral
 
@@ -186,7 +168,8 @@ def _first_variation_integral(f, body, phi, i, form):
     a, b = (f, phi) if form == "direct" else (phi, f)
     return _node_integral(
         body,
-        lambda U, Q: a.value(U) * np.einsum("mjk,mjk->m", cofactor_batch(Q, i), q_batch(b, U)),
+        lambda U, Q, first: a.value(U)
+        * np.einsum("mjk,mjk->m", cofactor_batch(Q, i), q_batch(b, U, first=first)),
     )
 
 
@@ -196,22 +179,22 @@ def _second_variation_integral(f, body, phi, i, form):
     _check_order(body.n, i)
     if form == "quadratic":
 
-        def vals(U, Q):
-            Qp = q_batch(phi, U)
+        def vals(U, Q, first):
+            Qp = q_batch(phi, U, first=first)
             return f.value(U) * np.einsum("mjk,mjk->m", contract2_batch(Q, i, Qp), Qp)
 
     elif form == "adjoint":
 
-        def vals(U, Q):
+        def vals(U, Q, first):
             E = frames(U)
-            M = contract2_batch(Q, i, q_batch(f, U, E))
-            return phi.value(U) * np.einsum("mjk,mjk->m", M, q_batch(phi, U, E))
+            M = contract2_batch(Q, i, q_batch(f, U, E, first=first))
+            return phi.value(U) * np.einsum("mjk,mjk->m", M, q_batch(phi, U, E, first=first))
 
     elif form == "gradient":
 
-        def vals(U, Q):
+        def vals(U, Q, first):
             E = frames(U)  # gp: frame components of the spherical gradient of phi
-            M = contract2_batch(Q, i, q_batch(f, U, E))
+            M = contract2_batch(Q, i, q_batch(f, U, E, first=first))
             pv, gp = phi.value(U), np.einsum("mia,mi->ma", E, phi.extension_gradient(U))
             return pv * pv * np.einsum("mjj->m", M) - np.einsum("mj,mjk,mk->m", gp, M, gp)
 

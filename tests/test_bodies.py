@@ -17,7 +17,7 @@ from areafun.bodies import (
     realize_q,
 )
 from areafun.errors import ConstructionError, DomainError
-from areafun.sphere import make_grid
+from areafun.sphere import make_grid, q_matrix
 
 RNG = np.random.default_rng(99)
 
@@ -116,13 +116,13 @@ class TestRealizeQ:
             W = rng.normal(size=(n - 1, n - 1))
             A = W @ W.T + 0.3 * np.eye(n - 1)
             K = realize_q(A, u)
-            np.testing.assert_allclose(K.q_at(u), A, atol=1e-8)
+            np.testing.assert_allclose(q_matrix(K.h, u), A, atol=1e-8)
             assert K.support(u) == pytest.approx(1.0, abs=1e-12)
 
     def test_at_pole(self):
         A = np.array([[2.0, 0.5], [0.5, 1.0]])
         K = realize_q(A, np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(K.q_at(np.array([0.0, 0.0, 1.0])), A, atol=1e-10)
+        np.testing.assert_allclose(q_matrix(K.h, np.array([0.0, 0.0, 1.0])), A, atol=1e-10)
 
     def test_globally_convex(self, grid3):
         A = np.array([[3.0, 1.0], [1.0, 0.7]])

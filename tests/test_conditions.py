@@ -1,6 +1,5 @@
-"""Eigenvalue-sum condition: verdicts, equivalent forms, implication structure."""
+"""Eigenvalue-sum condition: verdicts, the refinement, the diagonal reduction."""
 
-import itertools
 import math
 
 import numpy as np
@@ -13,13 +12,8 @@ from areafun.conditions import (
     _diagonal_form_values,
     _nelder_mead,
     check_mi,
-    check_pointwise_ii25,
-    downward_closed,
     eigen_sum,
-    i_convexity_check,
     lemma_equiv_bruteforce,
-    mi_monotone_in_i,
-    min_subset_sum,
 )
 from areafun.errors import DomainError
 from areafun.experiments import corpus
@@ -104,14 +98,6 @@ class TestCheckMi:
         rep = check_mi(saddle(0.8), 2, grid3)
         assert (rep.verdict == "violated") == (rep.worst_value < -rep.tolerance)
 
-    def test_json_roundtrip(self, grid3):
-        import json
-
-        rep = check_mi(saddle(0.2), 2, grid3)
-        d = json.loads(rep.to_json())
-        assert d["verdict"] == rep.verdict
-        assert d["order"] == 2
-
     def test_fd_function_uses_looser_tol(self, grid3):
         f = sphere.from_callable(3, lambda U: 1.0 + 0.0 * U[:, 0])
         rep = check_mi(f, 2, grid3, refine=False)
@@ -121,49 +107,6 @@ class TestCheckMi:
     def test_bad_order(self, grid3):
         with pytest.raises(DomainError):
             check_mi(sphere.constant(3, 1.0), 3, grid3)
-
-
-class TestMonotoneInOrder:
-    def test_constant_all_satisfied(self, grid3):
-        reps = mi_monotone_in_i(sphere.constant(3, 1.0), grid3)
-        assert [r.verdict for r in reps] == ["satisfied", "satisfied"]
-        assert downward_closed(reps)
-
-    def test_threshold_function(self, grid3):
-        # violates order 2, satisfies order 1 — the canonical threshold shape
-        reps = mi_monotone_in_i(saddle(0.45), grid3)
-        assert reps[0].verdict == "satisfied"
-        assert reps[1].verdict == "violated"
-        assert downward_closed(reps)
-
-    def test_downward_closure_over_random_polys(self, grid3):
-        # in R^3 closure is automatic pointwise; exercise the verdict chain
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            terms = {}
-            for e in itertools.product(range(3), repeat=3):
-                if sum(e) <= 2 and rng.random() < 0.6:
-                    terms[e] = rng.normal() * 0.4
-            terms[(0, 0, 0)] = terms.get((0, 0, 0), 0.0) + 1.0
-            f = sphere.polynomial(3, terms)
-            assert downward_closed(mi_monotone_in_i(f, grid3, refine=False))
-
-    def test_downward_closure_n4(self):
-        grid4 = make_grid(4, 4096, seed=1)
-        f = sphere.polynomial(
-            4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 0.9, (0, 2, 0, 0): -0.9}
-        )
-        reps = mi_monotone_in_i(f, grid4, refine=False)
-        assert len(reps) == 3
-        assert downward_closed(reps)
-
-    def test_detects_broken_chain(self, grid3):
-        reps = mi_monotone_in_i(saddle(0.45), grid3)
-        assert [r.verdict for r in reps] == ["satisfied", "violated"]
-        flipped = list(reversed(reps))
-        for k, r in enumerate(flipped):
-            r.order = k + 1
-        assert not downward_closed(flipped)
 
 
 class TestEigenSumScan:
@@ -323,93 +266,3 @@ class TestLemmaBruteforce:
     def test_size_limit(self):
         with pytest.raises(DomainError):
             lemma_equiv_bruteforce(np.ones(9), 2)
-
-    def test_min_subset_sum(self):
-        assert min_subset_sum([3.0, -1.0, 0.5], 2) == pytest.approx(-0.5)
-
-
-class TestPointwise:
-    def test_psd_point_satisfied(self, grid3):
-        f = sphere.constant(3, 1.0)
-        rep = check_pointwise_ii25(f, np.array([0.0, 0.0, 1.0]), 2, trials=50)
-        assert rep.ok and rep.agree
-
-    def test_violating_point_with_witness(self):
-        # eigenvalues (1+2c, 1-2c) at the pole with c = 0.8: order-2 subset
-        # sum is the min eigenvalue -0.6 < 0
-        f = saddle(0.8)
-        rep = check_pointwise_ii25(f, np.array([0.0, 0.0, 1.0]), 2, trials=50)
-        assert rep.verdict == "violated"
-        assert rep.subset_verdict == "violated"
-        assert rep.agree
-        assert rep.witness is not None
-        # the witness really does produce a negative trace form
-        from areafun.symfun import trace_pair
-        from areafun.sphere import q_matrix
-
-        Q = q_matrix(f, np.array([0.0, 0.0, 1.0]))
-        assert trace_pair(rep.witness, Q, 2) < 0
-
-    def test_agreement_over_random_functions(self, grid3):
-        rng = np.random.default_rng(23)
-        us = rng.normal(size=(20, 3))
-        us /= np.linalg.norm(us, axis=1)[:, None]
-        hits = 0
-        for k in range(20):
-            c = rng.uniform(-1.2, 1.2)
-            f = saddle(c)
-            rep = check_pointwise_ii25(f, us[k], 2, trials=100, seed=k)
-            hits += rep.agree
-        assert hits == 20
-
-    def test_dimension_four_agreement(self):
-        rng = np.random.default_rng(31)
-        f = sphere.polynomial(
-            4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 0.9, (0, 0, 2, 0): -0.9}
-        )
-        for k in range(10):
-            u = rng.normal(size=4)
-            u /= np.linalg.norm(u)
-            for i in (1, 2, 3):
-                rep = check_pointwise_ii25(f, u, i, trials=100, seed=k)
-                assert rep.agree
-
-
-class TestIConvexity:
-    def test_support_function_convex(self, grid3):
-        rep = i_convexity_check(ellipsoid([1.0, 1.5, 0.8]).h, 2, grid3)
-        assert rep.verdict == "satisfied"
-        assert len(rep.margins) == 2
-
-    def test_implication_to_eigensum(self, grid3):
-        # order-i convexity implies the order-i condition on every sample
-        rng = np.random.default_rng(8)
-        checked = 0
-        for _ in range(30):
-            c = rng.uniform(-1.0, 1.0)
-            f = saddle(c)
-            scan = EigenSumScan(f, grid3)
-            for i in (1, 2):
-                conv = i_convexity_check(f, i, grid3, scan=scan)
-                if conv.verdict == "satisfied":
-                    mi = check_mi(f, i, grid3, scan=scan, refine=False)
-                    assert mi.ok
-                    checked += 1
-        assert checked > 0
-
-    def test_one_way_only(self, grid3):
-        # the saddle at c = 0.45 keeps the trace positive everywhere (order-1
-        # condition holds) but its spectrum at e1, diag(1-3c, 1-c), has a
-        # negative product: order-2 convexity fails
-        f = saddle(0.45)
-        scan = EigenSumScan(f, grid3)
-        mi = check_mi(f, 1, grid3, scan=scan, refine=False)
-        conv = i_convexity_check(f, 1, grid3, scan=scan)
-        # order-1 convexity IS the order-1 condition (both are the trace)
-        assert mi.ok == conv.ok
-        # but at order 2 convexity fails while the order-1 condition holds
-        conv2 = i_convexity_check(f, 2, grid3, scan=scan)
-        assert mi.ok and not conv2.ok
-        # at e1 the product is (1-3c)(1-c) = -0.1925; the global min of e_2
-        # is slightly lower, at a point between e1 and the pole
-        assert -0.25 < conv2.worst_value <= (1 - 1.35) * (1 - 0.45) + 1e-3

@@ -7,9 +7,8 @@ import pytest
 
 from areafun import sphere
 from areafun.bodies import ball, ellipsoid, combine, perturb
-from areafun.errors import DomainError
+from areafun.errors import DomainError, EvaluationError
 from areafun.functionals import (
-    area_density,
     concavity_criterion,
     convention_factor,
     first_variation,
@@ -17,12 +16,12 @@ from areafun.functionals import (
     functional_segment,
     functional_value,
     mixed_area_integral,
-    mixed_functional,
     mixed_volume_smooth,
     second_variation,
     volume,
 )
 from areafun.sphere import make_grid
+from areafun.symfun import elem_sym_batch
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +44,7 @@ class TestClosedForms:
             B = ball(3, r)
             for i in (1, 2):
                 np.testing.assert_allclose(
-                    area_density(B, i, grid3), math.comb(2, i) * r**i, atol=1e-10
+                    elem_sym_batch(B.q_stack(grid3), i), math.comb(2, i) * r**i, atol=1e-10
                 )
 
     def test_ball_functional(self, grid3):
@@ -115,9 +114,9 @@ class TestMixedForms:
         B = ball(3)
         f = sphere.polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.5})
         for i in (1, 2):
-            vm, em = mixed_functional(f, K, i, [B] * (2 - i), grid3)
-            vf, ef = functional_value(f, K, i, grid3)
-            assert vm == pytest.approx(vf, rel=1e-10)
+            vm, _ = mixed_area_integral(f, [K] * i + [B] * (2 - i), grid3)
+            vf, _ = functional_value(f, K, i, grid3)
+            assert math.comb(2, i) * vm == pytest.approx(vf, rel=1e-10)
 
     def test_mixed_integral_symmetric(self, grid3):
         K = ellipsoid([1.0, 1.5, 2.0])
@@ -279,6 +278,33 @@ class TestVariations:
             first_variation(ONE3, ball(3), ONE3, 1, grid3, form="sideways")
         with pytest.raises(DomainError):
             second_variation(ONE3, ball(3), ONE3, 1, grid3, form="sideways")
+
+
+    @pytest.mark.parametrize(
+        "order, form, slot",
+        [
+            ("first", "direct", "phi"),
+            ("first", "adjoint", "weight"),
+            ("second", "quadratic", "phi"),
+            ("second", "adjoint", "weight"),
+            ("second", "adjoint", "phi"),
+            ("second", "gradient", "weight"),
+        ],
+    )
+    def test_nonfinite_form_names_global_node(self, order, form, slot):
+        grid = make_grid(3, sphere.NODE_BLOCK + 100)
+        bad = sphere.NODE_BLOCK + 37  # in the second block
+
+        def jet(Y, order):
+            H = np.zeros((len(Y), 3, 3))
+            H[np.abs(Y - grid.nodes[bad]).max(axis=1) < 1e-12, 0, 1] = np.nan
+            return (np.ones(len(Y)), np.zeros_like(Y), H)[: order + 1]
+
+        fs = {"weight": ONE3, "phi": sphere.constant(3, 0.5)}
+        fs[slot] = sphere.SphericalFunction(3, jet, "nan-late")
+        variation = {"first": first_variation, "second": second_variation}[order]
+        with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
+            variation(fs["weight"], ball(3), fs["phi"], 2, grid, form=form)
 
 
 class TestConcavityCriterion:

@@ -1,4 +1,4 @@
-"""Integral and pointwise identity verification."""
+"""Integral identity verification."""
 
 import math
 
@@ -7,14 +7,7 @@ import pytest
 
 from areafun import sphere
 from areafun.bodies import ball, ellipsoid
-from areafun.errors import DomainError
-from areafun.identities import (
-    cheng_yau_pointwise,
-    euler_homogeneity_residual,
-    homogeneity_constant,
-    ibp_second_order_residual,
-    ibp_symmetry_residual,
-)
+from areafun.identities import ibp_second_order_residual, ibp_symmetry_residual
 from areafun.functionals import first_variation, second_variation
 from areafun.sphere import make_grid
 
@@ -131,77 +124,3 @@ class TestIbpSecondOrder:
         r_hi = ibp_second_order_residual(f, phi, K, 2, make_grid(3, 16384))
         assert r_hi.residual < r_lo.residual
         assert r_hi.within() and r_lo.within()
-
-
-class TestPointwiseDivergence:
-    def test_constant_function(self):
-        f = sphere.constant(3, 1.0)
-        div = cheng_yau_pointwise(f, 2, np.array([0.0, 0.0, 1.0]))
-        assert np.max(np.abs(div)) < 1e-6
-
-    def test_ellipsoid_support(self):
-        h = ellipsoid([1.0, 1.5, 0.8]).h
-        div = cheng_yau_pointwise(h, 2, np.array([0.0, 0.0, 1.0]))
-        assert np.max(np.abs(div)) < 1e-3
-
-    def test_random_polynomials_many_nodes(self):
-        rng = np.random.default_rng(46)
-        worst = 0.0
-        for _ in range(5):
-            f = random_poly(3, rng, degree=3)
-            for _ in range(4):
-                u = rng.normal(size=3)
-                u /= np.linalg.norm(u)
-                div = cheng_yau_pointwise(f, 2, u)
-                worst = max(worst, float(np.max(np.abs(div))))
-        assert worst < 1e-3
-
-    def test_step_convergence(self):
-        # halving the step must not increase the residual materially
-        rng = np.random.default_rng(47)
-        f = random_poly(3, rng, degree=3)
-        u = np.array([0.0, 0.0, 1.0])
-        r = [
-            float(np.max(np.abs(cheng_yau_pointwise(f, 2, u, step=s))))
-            for s in (1e-2, 5e-3, 2.5e-3)
-        ]
-        assert r[2] < r[0] + 1e-8
-
-    def test_rejects_fd_mode(self):
-        f = sphere.from_callable(3, lambda U: U[:, 0] ** 2)
-        with pytest.raises(DomainError):
-            cheng_yau_pointwise(f, 2, np.array([0.0, 0.0, 1.0]))
-
-    def test_dimension_four(self):
-        rng = np.random.default_rng(48)
-        f = random_poly(4, rng, degree=2)
-        u = np.array([0.0, 0.0, 0.0, 1.0])
-        for i in (2, 3):
-            div = cheng_yau_pointwise(f, i, u)
-            assert div.shape == (3,)
-            assert np.max(np.abs(div)) < 1e-3
-
-
-class TestHomogeneityContraction:
-    def test_ball_order_two(self, grid3):
-        assert euler_homogeneity_residual(ball(3), 2, grid3) < 1e-12
-
-    def test_ellipsoids(self, grid3, grid4):
-        assert euler_homogeneity_residual(ellipsoid([1.0, 1.5, 0.8]), 2, grid3) < 1e-8
-        E4 = ellipsoid([1.0, 1.3, 0.9, 1.1])
-        for i in (2, 3):
-            assert euler_homogeneity_residual(E4, i, grid4) < 1e-8
-
-    def test_constant_recovered(self, grid3, grid4):
-        assert homogeneity_constant(ellipsoid([1.0, 1.4, 0.7]), 2, grid3) == pytest.approx(
-            1.0, abs=1e-8
-        )
-        assert homogeneity_constant(
-            ellipsoid([1.0, 1.3, 0.9, 1.1]), 3, grid4
-        ) == pytest.approx(2.0, abs=1e-8)
-
-    def test_five_dimensions(self):
-        grid5 = make_grid(5, 4000, seed=9)
-        E = ellipsoid([1.0, 1.2, 0.9, 1.1, 1.05])
-        assert euler_homogeneity_residual(E, 3, grid5) < 1e-8
-        assert homogeneity_constant(E, 4, grid5) == pytest.approx(3.0, abs=1e-8)
