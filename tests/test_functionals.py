@@ -279,9 +279,8 @@ class TestVariations:
         with pytest.raises(DomainError):
             second_variation(ONE3, ball(3), ONE3, 1, grid3, form="sideways")
 
-
     @pytest.mark.parametrize(
-        "order, form, slot",
+        "kind, form, slot",
         [
             ("first", "direct", "phi"),
             ("first", "adjoint", "weight"),
@@ -291,7 +290,7 @@ class TestVariations:
             ("second", "gradient", "weight"),
         ],
     )
-    def test_nonfinite_form_names_global_node(self, order, form, slot):
+    def test_nonfinite_form_names_global_node(self, kind, form, slot):
         grid = make_grid(3, sphere.NODE_BLOCK + 100)
         bad = sphere.NODE_BLOCK + 37  # in the second block
 
@@ -302,7 +301,7 @@ class TestVariations:
 
         fs = {"weight": ONE3, "phi": sphere.constant(3, 0.5)}
         fs[slot] = sphere.SphericalFunction(3, jet, "nan-late")
-        variation = {"first": first_variation, "second": second_variation}[order]
+        variation = {"first": first_variation, "second": second_variation}[kind]
         with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
             variation(fs["weight"], ball(3), fs["phi"], 2, grid, form=form)
 
