@@ -88,7 +88,6 @@ from .sphere import (
     bump,
     combination,
     constant,
-    from_callable,
     latitude_grid,
     linear,
     make_grid,

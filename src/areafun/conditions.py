@@ -25,12 +25,7 @@ from .errors import DomainError
 from .sphere import q_batch, q_matrix, sphere_area, tangent_frame
 from .symfun import deleted_elem_sym
 
-ANALYTIC_TOL = 1e-7
-FD_TOL = 1e-4
-
-
-def default_tolerance(f):
-    return ANALYTIC_TOL if f.derivative_mode == "analytic" else FD_TOL
+DEFAULT_TOL = 1e-7
 
 
 def _verdict(worst, tol):
@@ -168,13 +163,13 @@ def check_mi(f, i, grid, tol=None, refine=True, scan=None):
     """Decide the order-i eigenvalue-sum condition for f on a grid.
 
     Grid minima only bound the true minimum from above, so the default
-    tolerances (1e-7 analytic / 1e-4 finite-difference) leave a band of
-    'marginal' verdicts; violated means worst_value < -tol after refinement.
+    tolerance DEFAULT_TOL = 1e-7 leaves a band of 'marginal' verdicts;
+    violated means worst_value < -tol after refinement.
     """
     if scan is None:
         scan = EigenSumScan(f, grid)
     if tol is None:
-        tol = default_tolerance(f)
+        tol = DEFAULT_TOL
     worst, node = scan.worst(i)
     refined = False
     if refine:

@@ -27,7 +27,7 @@ from .bodies import (
     perturb,
     realize_q,
 )
-from .conditions import EigenSumScan, check_mi, default_tolerance
+from .conditions import DEFAULT_TOL, EigenSumScan, check_mi
 from .errors import DomainError, SearchError
 from .functionals import (
     first_variation,
@@ -665,7 +665,7 @@ def monotonicity_counterexample(
     diagnostics) if nothing is decisive.  A caller already holding the
     EigenSumScan of f on grid passes it as scan.
     """
-    tol = default_tolerance(f) if tol is None else float(tol)
+    tol = DEFAULT_TOL if tol is None else float(tol)
     rep = check_mi(f, i, grid, scan=scan)
     if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
         raise SearchError(
@@ -1033,7 +1033,7 @@ def bm_violation_hunt(
     """
     if i < 2:
         raise DomainError("order must be >= 2: order 1 has no concavity criterion")
-    tol = default_tolerance(f) if tol is None else float(tol)
+    tol = DEFAULT_TOL if tol is None else float(tol)
     rep = check_mi(f, i, grid)
     if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
         raise SearchError(
@@ -1179,7 +1179,6 @@ def theorem_roundtrip(
     for entry in entries:
         grid = grids[entry.n]
         scan = EigenSumScan(entry.f, grid)
-        tol = default_tolerance(entry.f)
         for i in range(1, entry.n):
             rep = check_mi(entry.f, i, grid, scan=scan)
             row = {
@@ -1196,7 +1195,7 @@ def theorem_roundtrip(
                 mono = monotonicity_test(entry.f, i, pair_sets[entry.n], grid)
                 row["empirical_violations"] = len(mono.violations)
                 summary["empirical_violations"] += len(mono.violations)
-            elif rep.worst_value < -10.0 * tol:
+            elif rep.worst_value < -10.0 * DEFAULT_TOL:
                 try:
                     cex = monotonicity_counterexample(
                         entry.f, i, grid, scan=scan, **counterexample_kwargs

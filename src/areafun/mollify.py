@@ -118,8 +118,7 @@ class RotationAverage(SphericalFunction):
     weights then reduce each block in one product per order: values against
     w, gradients sum_m w_m R_m^T grad f(R_m y) and Hessians
     sum_m w_m R_m^T Hess f(R_m y) R_m against the weighted stack
-    [w_1 R_1; ...; w_M R_M].  The average inherits
-    f's derivative mode: a finite-difference f gives a finite-difference average.
+    [w_1 R_1; ...; w_M R_M].
     """
 
     def __init__(self, f, kernel):
@@ -145,16 +144,14 @@ class RotationAverage(SphericalFunction):
                     out[k][s : s + block] = reduce(d.reshape((len(Yb), -1) + (n,) * k))
             return tuple(out)
 
-        super().__init__(
-            n, jet, f"{f.label}~k{kernel.k}", analytic=f.derivative_mode == "analytic"
-        )
+        super().__init__(n, jet, f"{f.label}~k{kernel.k}")
 
 
 def mollify(f, k, samples=200, seed=0, kernel=None):
     """Rotation average of f with the scale-k kernel, as a RotationAverage.
 
     The result evaluates sum_m w_m f(rho_m u); derivatives pass through the
-    finite sum term by term, so it inherits f's derivative mode.  The kernel
+    finite sum term by term, so they are as exact as f's.  The kernel
     is fixed per (k, seed): repeated calls with the same arguments define the
     same function.
     """

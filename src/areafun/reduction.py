@@ -16,15 +16,14 @@ few thicknesses and extrapolates linearly to delta = 0, reporting the spread
 between extrapolations from different delta pairs as a stability measure.
 """
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import SupportBody, certify_c2plus, combine, ellipsoid
 from .errors import DomainError
 from .functionals import mixed_area_integral, mixed_volume_smooth
-from .sphere import from_callable, latitude_grid, make_grid
+from .sphere import SphericalFunction, latitude_grid, make_grid
 
 E3_POLE = np.array([0.0, 0.0, 1.0])
 
@@ -109,28 +108,43 @@ def cylinder(R, delta):
 # -- equatorial restrictions and circle-side quantities ---------------------------
 
 
-def equator_restriction(f3):
-    """Weight on the circle: f restricted to the equatorial plane u3 = 0."""
+def equator_restriction(f3, label=None):
+    """Weight on the circle: f restricted to the equatorial plane u3 = 0.
+
+    The ambient representative of f3 restricted to the plane x3 = 0
+    represents the restricted function, so the jet is the leading block of
+    f3's jet at (y, 0): the value, the first two gradient entries and the
+    upper-left 2x2 Hessian block.
+    """
     if f3.n != 3:
         raise DomainError("equator restriction expects a weight on the 2-sphere")
 
-    def fn(U2):
-        U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-        return f3.value(np.column_stack([U2, np.zeros(len(U2))]))
+    def jet(Y, order):
+        parts = f3._jet(np.column_stack([Y, np.zeros(len(Y))]), order)
+        return tuple(d[(slice(None),) + (slice(2),) * k] for k, d in enumerate(parts))
 
-    return from_callable(2, fn, label=f"{f3.label}|equator")
+    return SphericalFunction(2, jet, label or f"{f3.label}|equator")
 
 
-def project_to_plane(body3):
-    """Planar shadow of a body: support function restricted to the equator."""
+def project_to_plane(body3, label=None):
+    """Planar shadow of a body: the support function of the projection onto
+    the equatorial plane is h restricted to the equator."""
     if body3.n != 3:
         raise DomainError("projection expects a body in ambient dimension 3")
+    h = equator_restriction(body3.h, label=f"h[{body3.label}]|equator")
+    return SupportBody(h, label=label)
 
-    def fn(U2):
-        U2 = np.atleast_2d(np.asarray(U2, dtype=float))
-        return body3.support(np.column_stack([U2, np.zeros(len(U2))]))
 
-    return SupportBody(from_callable(2, fn, label=f"h[{body3.label}]|equator"))
+def abs_weight(f2, label=None):
+    """|f2| as a value-only weight: its jet raises DomainError above order 0,
+    since |f2| is not differentiable where f2 changes sign."""
+
+    def jet(Y, order):
+        if order:
+            raise DomainError(f"|{f2.label}| has values only, no derivatives")
+        return (np.abs(f2.value(Y)),)
+
+    return SphericalFunction(f2.n, jet, label or f"|{f2.label}|")
 
 
 def circle_functional(f2, body2, grid2):
@@ -252,11 +266,7 @@ def cylinder_lemma_residual(
     pole_term = vol * (f.value(E3_POLE) + f.value(-E3_POLE))
     rhs = equator_term + pole_term
 
-    eq_abs, _ = circle_functional(
-        from_callable(2, lambda U: np.abs(f_eq.value(U)), label="|f||equator"),
-        K1.planar,
-        circle,
-    )
+    eq_abs, _ = circle_functional(abs_weight(f_eq, label="|f||equator"), K1.planar, circle)
     rhs_scale = max(
         0.5 * R * eq_abs + vol * (abs(f.value(E3_POLE)) + abs(f.value(-E3_POLE))),
         1e-12,

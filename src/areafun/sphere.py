@@ -5,9 +5,8 @@ extension fbar(x) = |x| f(x/|x|).  The object carries one jet of an *ambient
 representative* phi — any smooth function on a neighbourhood of the sphere
 agreeing with f there — giving phi's value, gradient and Hessian up to a
 requested order, and synthesises gradient and Hessian of fbar from them via
-the chain rule for x -> |x| phi(x/|x|).  When no analytic
-representative derivatives are available, central finite differences on fbar
-are used instead.
+the chain rule for x -> |x| phi(x/|x|), so every derivative is exact up to
+rounding.
 
 The matrix of second-order data at a point u is
 
@@ -29,9 +28,6 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-
-FD_GRADIENT_STEP = 1e-5
-FD_HESSIAN_STEP = 1e-4
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 _POLY_BLOCK = 1 << 16
@@ -75,20 +71,19 @@ def _as_points(X, n):
 class SphericalFunction:
     """Function on S^{n-1} with derivative access via its homogeneous extension."""
 
-    def __init__(self, n, jet, label="f", analytic=True):
+    def __init__(self, n, jet, label="f"):
         """jet(Y, order) returns (phi,), (phi, grad phi) or (phi, grad phi,
         Hess phi) of the ambient representative at the rows of Y, computing
-        nothing above the requested order.  analytic=False marks a jet that
-        gives values only; derivatives then come from finite differences."""
+        nothing above the requested order.  A jet that has values only
+        raises DomainError for any order above 0."""
         if n < 2:
             raise DomainError("ambient dimension must be >= 2")
         self.n = int(n)
         self._jet = jet
         self.label = label
-        self.derivative_mode = "analytic" if analytic else "finite-difference"
 
     def __repr__(self):
-        return f"SphericalFunction({self.label}, n={self.n}, {self.derivative_mode})"
+        return f"SphericalFunction({self.label}, n={self.n})"
 
     # -- evaluation --------------------------------------------------------
 
@@ -115,10 +110,10 @@ class SphericalFunction:
 
     def extension_gradient(self, X):
         X2, single = _as_points(X, self.n)
-        grad = self._ext_grad_analytic if self.derivative_mode == "analytic" else self._ext_grad_fd
         G = np.empty_like(X2)
         for b in node_blocks(len(X2)):
-            G[b] = grad(X2[b])
+            _, Y, c, jet = self._jet_parts(X2[b], 1)
+            G[b] = jet[1] + c[:, None] * Y
         if not np.all(np.isfinite(G)):
             bad = int(np.argwhere(~np.isfinite(G).all(axis=1))[0, 0])
             raise EvaluationError(
@@ -127,34 +122,10 @@ class SphericalFunction:
         return G[0] if single else G
 
     def extension_hessian(self, X):
-        X2, single = _as_points(X, self.n)
-        if self.derivative_mode == "analytic":
-            H = self._ext_hess_analytic(X2)
-        else:
-            H = self._ext_hess_fd(X2)
-        if not np.all(np.isfinite(H)):
-            bad = int(np.argwhere(~np.isfinite(H).reshape(len(H), -1).all(axis=1))[0, 0])
-            raise EvaluationError(
-                f"non-finite Hessian of {self.label} at point {X2[bad]}"
-            )
-        return H[0] if single else H
-
-    def _analytic_parts(self, X, order):
-        """r = |x|, y = x/r, c = phi(y) - <grad phi(y), y> and the jet of
-        phi at y up to the given order (1 or 2)."""
-        r = np.linalg.norm(X, axis=1)
-        Y = X / r[:, None]
-        jet = [np.asarray(d, dtype=float) for d in self._jet(Y, order)]
-        return r, Y, jet[0] - np.sum(jet[1] * Y, axis=1), jet
-
-    def _ext_grad_analytic(self, X):
-        _, Y, c, jet = self._analytic_parts(X, 1)
-        return jet[1] + c[:, None] * Y
-
-    def _ext_hess_analytic(self, X):
         # chain rule for fbar(x) = r phi(y), y = x/r; the result annihilates
         # the radial direction and is (-1)-homogeneous in r by construction
-        r, Y, c, (_, _, H) = self._analytic_parts(X, 2)
+        X2, single = _as_points(X, self.n)
+        r, Y, c, (_, _, H) = self._jet_parts(X2, 2)
         Hy = (H @ Y[:, :, None])[:, :, 0]
         hyy = np.sum(Hy * Y, axis=1)
         I = np.eye(self.n)
@@ -167,43 +138,21 @@ class SphericalFunction:
             + c[:, None, None] * (I[None, :, :] - YY)
         )
         out /= r[:, None, None]
-        return 0.5 * (out + out.transpose(0, 2, 1))
-
-    def _ext_grad_fd(self, X):
-        h = FD_GRADIENT_STEP
-        m = X.shape[0]
-        G = np.empty((m, self.n))
-        for a in range(self.n):
-            E = np.zeros(self.n)
-            E[a] = h
-            G[:, a] = (self.extension_value(X + E) - self.extension_value(X - E)) / (
-                2.0 * h
+        out = 0.5 * (out + out.transpose(0, 2, 1))
+        if not np.all(np.isfinite(out)):
+            bad = int(np.argwhere(~np.isfinite(out).reshape(len(out), -1).all(axis=1))[0, 0])
+            raise EvaluationError(
+                f"non-finite Hessian of {self.label} at point {X2[bad]}"
             )
-        return G
+        return out[0] if single else out
 
-    def _ext_hess_fd(self, X):
-        h = FD_HESSIAN_STEP
-        m = X.shape[0]
-        f0 = self.extension_value(X)
-        H = np.empty((m, self.n, self.n))
-        shifted = {}
-        for a in range(self.n):
-            E = np.zeros(self.n)
-            E[a] = h
-            shifted[a] = (self.extension_value(X + E), self.extension_value(X - E))
-            H[:, a, a] = (shifted[a][0] - 2.0 * f0 + shifted[a][1]) / (h * h)
-        for a in range(self.n):
-            Ea = np.zeros(self.n)
-            Ea[a] = h
-            for b in range(a + 1, self.n):
-                Eb = np.zeros(self.n)
-                Eb[b] = h
-                fpp = self.extension_value(X + Ea + Eb)
-                fpm = self.extension_value(X + Ea - Eb)
-                fmp = self.extension_value(X - Ea + Eb)
-                fmm = self.extension_value(X - Ea - Eb)
-                H[:, a, b] = H[:, b, a] = (fpp - fpm - fmp + fmm) / (4.0 * h * h)
-        return H
+    def _jet_parts(self, X, order):
+        """r = |x|, y = x/r, c = phi(y) - <grad phi(y), y> and the jet of
+        phi at y up to the given order (1 or 2)."""
+        r = np.linalg.norm(X, axis=1)
+        Y = X / r[:, None]
+        jet = [np.asarray(d, dtype=float) for d in self._jet(Y, order)]
+        return r, Y, jet[0] - np.sum(jet[1] * Y, axis=1), jet
 
     # -- diagnostics --------------------------------------------------------
 
@@ -369,7 +318,7 @@ def bump(n, u0, kappa, label=None):
 
 
 def combination(coeffs, funcs, label=None):
-    """Linear combination sum_j coeffs[j] * funcs[j]; analytic if all parts are.
+    """Linear combination sum_j coeffs[j] * funcs[j].
 
     The jet adds the parts' jets one part at a time, so at most one part's
     Hessian stack is alive beside the running sum."""
@@ -388,9 +337,7 @@ def combination(coeffs, funcs, label=None):
         return tuple(out)
 
     lab = label or "(" + " + ".join(f"{c:g}*{f.label}" for c, f in zip(coeffs, funcs)) + ")"
-    return SphericalFunction(
-        n, jet, lab, analytic=all(f.derivative_mode == "analytic" for f in funcs)
-    )
+    return SphericalFunction(n, jet, lab)
 
 
 def compose_orthogonal(f, R, label=None):
@@ -408,19 +355,7 @@ def compose_orthogonal(f, R, label=None):
             out[2] = R.T @ out[2] @ R
         return tuple(out)
 
-    return SphericalFunction(
-        n, jet, label or f"{f.label}∘R", analytic=f.derivative_mode == "analytic"
-    )
-
-
-def from_callable(n, fn, label=None):
-    """Wrap a plain unit-vector callable; derivatives fall back to differences."""
-    return SphericalFunction(
-        n,
-        lambda Y, order: (np.asarray(fn(Y), dtype=float),),
-        label or "callable",
-        analytic=False,
-    )
+    return SphericalFunction(n, jet, label or f"{f.label}∘R")
 
 
 # -- tangent frames and Q matrices ------------------------------------------
@@ -464,10 +399,10 @@ def q_matrix(f, u, frame=None):
 
 
 def tangent_jet(f, U, E, first=0):
-    """Extension gradient and Hessian form of an analytic f at a node block U
+    """Extension gradient and Hessian form of f at a node block U
     with frames E, (m, n) and (m, n-1, n-1), from one order-2 jet.  Raises
     EvaluationError naming node first + k if the form at U[k] is not finite."""
-    r, Y, c, (_, g, H) = f._analytic_parts(U, 2)
+    r, Y, c, (_, g, H) = f._jet_parts(U, 2)
     diag = np.arange(E.shape[-1])
     Q = E.transpose(0, 2, 1) @ H @ E
     Q /= r[:, None, None]
@@ -486,12 +421,11 @@ def tangent_jet(f, U, E, first=0):
 def q_batch(f, U, frame_stack=None, first=0):
     """q_matrix over many nodes: (m, n) -> (m, n-1, n-1).
 
-    Frame columns are orthogonal to u, so for analytic functions every radial
-    term of the extension Hessian drops out and the form is
-    sym(E^T Hess phi(y) E)/r + (phi(y) - <grad phi(y), y>)/r * I with
-    y = u/|u|, r = |u| (tangent_jet).  Finite-difference functions go through
-    extension_hessian.  The nodes go through in node blocks, each with its own
-    frames unless frame_stack is given, into one preallocated stack.  Raises
+    Frame columns are orthogonal to u, so every radial term of the extension
+    Hessian drops out and the form is sym(E^T Hess phi(y) E)/r +
+    (phi(y) - <grad phi(y), y>)/r * I with y = u/|u|, r = |u| (tangent_jet).
+    The nodes go through in node blocks, each with its own frames unless
+    frame_stack is given, into one preallocated stack.  Raises
     EvaluationError naming the first non-finite form's node, plus first.
     """
     U = np.asarray(U, dtype=float)
@@ -499,11 +433,7 @@ def q_batch(f, U, frame_stack=None, first=0):
     Q = np.empty((len(U), N, N))
     for b in node_blocks(len(U)):
         E = frames(U[b]) if frame_stack is None else frame_stack[b]
-        if f.derivative_mode == "analytic":
-            Q[b] = tangent_jet(f, U[b], E, first + b.start)[1]
-        else:
-            Qb = E.transpose(0, 2, 1) @ f.extension_hessian(U[b]) @ E
-            Q[b] = 0.5 * (Qb + Qb.transpose(0, 2, 1))
+        Q[b] = tangent_jet(f, U[b], E, first + b.start)[1]
     return Q
 
 

@@ -4,6 +4,7 @@ build once per session, and several suites lean on the same instances."""
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import areafun
@@ -39,3 +40,40 @@ def entries():
 @pytest.fixture(scope="session")
 def by_label(entries):
     return {e.label: e for e in entries}
+
+
+def fd_gradient_of_extension(f, x, h=1e-5):
+    """Central differences of the gradient of f's 1-homogeneous extension at
+    a point x, (n,), or at the rows of x, (m, n): an oracle for the exact
+    derivatives."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    G = np.empty(x.shape)
+    for a in range(n):
+        ea = np.zeros(n)
+        ea[a] = h
+        G[..., a] = (f.extension_value(x + ea) - f.extension_value(x - ea)) / (2 * h)
+    return G
+
+
+def fd_hessian_of_extension(f, x, h=1e-4):
+    """Central differences of the Hessian of f's 1-homogeneous extension, the
+    twin of fd_gradient_of_extension: (n, n) at a point, (m, n, n) at rows."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    H = np.empty(x.shape + (n,))
+    f0 = f.extension_value(x)
+    for a in range(n):
+        ea = np.zeros(n)
+        ea[a] = h
+        H[..., a, a] = (f.extension_value(x + ea) - 2 * f0 + f.extension_value(x - ea)) / h**2
+        for b in range(a + 1, n):
+            eb = np.zeros(n)
+            eb[b] = h
+            H[..., a, b] = H[..., b, a] = (
+                f.extension_value(x + ea + eb)
+                - f.extension_value(x + ea - eb)
+                - f.extension_value(x - ea + eb)
+                + f.extension_value(x - ea - eb)
+            ) / (4 * h**2)
+    return H

@@ -11,7 +11,6 @@ from areafun.bodies import (
     certify_c2plus,
     combine,
     ellipsoid,
-    from_form,
     largest_certified_strength,
     perturb,
     realize_q,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from areafun.bodies import ball, ellipsoid
+from areafun.bodies import ellipsoid
 from areafun.cli import (
     EXIT_OK,
     EXIT_USAGE,

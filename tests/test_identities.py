@@ -1,7 +1,5 @@
 """Integral identity verification."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import fd_gradient_of_extension, fd_hessian_of_extension
 
 from areafun.conditions import check_mi
 from areafun.errors import DomainError
@@ -29,7 +30,6 @@ from areafun.sphere import (
     bump,
     combination,
     compose_orthogonal,
-    from_callable,
     make_grid,
     polynomial,
     q_batch,
@@ -204,7 +204,6 @@ class TestMollify:
         ker = MollifierKernel.build(3, 6, samples=110, seed=6)
         f = polynomial(3, {(2, 0, 0): 1.0, (0, 2, 0): -1.0, (0, 0, 0): 1.0})
         fk = mollify(f, 6, kernel=ker)
-        assert fk.derivative_mode == "analytic"
         u = np.array([1.0, 0.0, 0.0])
         # rotation average of rotated Hessian forms, assembled independently
         manual = np.zeros((3, 3))
@@ -251,7 +250,6 @@ class TestRotationAverage:
         for f in weights_for(n):
             fk = mollify(f, 6, kernel=ker)
             assert isinstance(fk, RotationAverage) and fk.kernel is ker
-            assert fk.derivative_mode == "analytic"
             jets = [(w, R, f._jet(U @ R.T, 2)) for w, R in zip(ker.weights, ker.rotations)]
             val = sum(w * v for w, _, (v, _, _) in jets)
             grad = sum(w * g @ R for w, R, (_, g, _) in jets)
@@ -269,20 +267,6 @@ class TestRotationAverage:
             ]:
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), f.label
-
-    def test_finite_difference_input_stays_finite_difference(self):
-        ker = MollifierKernel.build(3, 8, samples=120, seed=1)
-        f = polynomial(3, {(2, 0, 0): 1.0, (0, 1, 1): -0.5, (0, 0, 0): 1.0})
-        g = from_callable(3, f.value)
-        gk = mollify(g, 8, kernel=ker)
-        assert gk.derivative_mode == "finite-difference"
-        assert gk.kernel is ker
-        U = unit_points(3, 300, seed=2)
-        want = sum(w * f.value(U @ R.T) for w, R in zip(ker.weights, ker.rotations))
-        assert np.max(np.abs(gk.value(U) - want)) <= 1e-12 * np.max(np.abs(want))
-        # its differences approximate the analytic average's forms
-        fk = mollify(f, 8, kernel=ker)
-        assert np.max(np.abs(q_batch(gk, U[:20]) - q_batch(fk, U[:20]))) < 1e-4
 
     def test_q_batch_memory_bounded_by_block(self):
         # the rotated points are evaluated in blocks, so the peak does not
@@ -543,16 +527,15 @@ class TestSeparable:
 
     def test_derivatives_match_fd(self):
         f, u0, E = self.make_function()
-        ref = from_callable(3, lambda Y: f.value(Y))
         rng = np.random.default_rng(2)
         X = rng.normal(size=(15, 3))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         # keep clear of the support boundary where FD steps cross cutoffs
         X = 0.97 * u0 + 0.03 * X
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        ga, gf = f.extension_gradient(X), ref.extension_gradient(X)
+        ga, gf = f.extension_gradient(X), fd_gradient_of_extension(f, X)
         assert np.max(np.abs(ga - gf)) < 1e-5 * (1 + np.max(np.abs(ga)))
-        ha, hf = f.extension_hessian(X), ref.extension_hessian(X)
+        ha, hf = f.extension_hessian(X), fd_hessian_of_extension(f, X)
         assert np.max(np.abs(ha - hf)) < 5e-3 * (1 + np.max(np.abs(ha)))
 
     def test_hessian_symmetric(self):

@@ -8,8 +8,7 @@ import pytest
 from areafun.bodies import ball, ellipsoid
 from areafun.errors import DomainError
 from areafun.reduction import (
-    CylinderSplitReport,
-    FlattenedBody,
+    abs_weight,
     circle_functional,
     circle_grid,
     cylinder,
@@ -22,7 +21,7 @@ from areafun.reduction import (
     reduction_grid,
     segment_factor_identity,
 )
-from areafun.sphere import from_callable
+from areafun.sphere import constant, linear, polynomial, q_batch
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +40,7 @@ def unit_disc():
 
 
 def const_one():
-    return from_callable(3, lambda U: np.ones(len(U)), label="1")
+    return constant(3, 1.0, label="1")
 
 
 class TestThickenedBodies:
@@ -75,9 +74,37 @@ class TestThickenedBodies:
         want = np.sqrt(1.5**2 * U[:, 0] ** 2 + 0.7**2 * U[:, 1] ** 2)
         assert np.allclose(shadow.support(U), want, rtol=1e-12)
 
-        f = from_callable(3, lambda V: 1.0 + V[:, 0] * V[:, 1], label="f")
+        f = polynomial(3, {(0, 0, 0): 1.0, (1, 1, 0): 1.0}, label="f")
         f2 = equator_restriction(f)
         assert f2.value(U) == pytest.approx(1.0 + U[:, 0] * U[:, 1])
+
+    def test_shadow_forms_are_exact(self, cgrid):
+        # the shadow's jet is the leading block of the ellipsoid's, so its
+        # Hessian forms are the ellipse's, not a difference quotient's
+        shadow = project_to_plane(ellipsoid([1.0, 1.3, 0.7]))
+        want = ellipsoid([1.0, 1.3]).q_stack(cgrid)
+        assert np.max(np.abs(shadow.q_stack(cgrid) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_restricted_jet_matches_planar_polynomial(self, cgrid):
+        # terms with x3 vanish on the equator, along with their derivatives
+        # in the plane; the rest is the planar polynomial
+        planar = {(0, 0): 1.0, (2, 0): 0.8, (1, 1): -0.5, (0, 3): 0.3}
+        extra = {(1, 0, 1): 0.7, (0, 1, 2): -0.4, (0, 0, 2): 0.6}
+        f3 = polynomial(3, {**{e + (0,): c for e, c in planar.items()}, **extra})
+        U = cgrid.nodes
+        want = q_batch(polynomial(2, planar), U)
+        got = q_batch(equator_restriction(f3), U)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_abs_weight_has_values_only(self, cgrid):
+        f2 = equator_restriction(linear(3, [1.0, -0.5, 2.0]))
+        w = abs_weight(f2)
+        U = cgrid.nodes
+        assert np.array_equal(w.value(U), np.abs(f2.value(U)))
+        with pytest.raises(DomainError):
+            w.extension_gradient(U[:4])
+        with pytest.raises(DomainError):
+            q_batch(w, U[:4])
 
     def test_thin_bodies_rejected(self):
         with pytest.raises(DomainError):
@@ -108,7 +135,7 @@ class TestCylinderSplit:
             assert rep.relative_residual <= 0.005
 
     def test_odd_weight_cancels(self, rgrid, cgrid, unit_disc):
-        odd = from_callable(3, lambda U: U[:, 2], label="u3")
+        odd = linear(3, [0.0, 0.0, 1.0], label="u3")
         rep = cylinder_lemma_residual(odd, unit_disc, 1.0, grid=rgrid, circle=cgrid)
         # equator restriction vanishes identically and the polar masses cancel
         assert rep.rhs == pytest.approx(0.0, abs=1e-12)
@@ -117,9 +144,7 @@ class TestCylinderSplit:
 
     def test_affine_in_length(self, rgrid, cgrid, unit_disc):
         # the split is affine in R with slope = half the equatorial integral
-        f = from_callable(
-            3, lambda U: 1.0 + 0.5 * U[:, 0] ** 2 + 0.2 * U[:, 2] ** 2, label="f"
-        )
+        f = polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.5, (0, 0, 2): 0.2}, label="f")
         reps = {
             R: cylinder_lemma_residual(f, unit_disc, R, grid=rgrid, circle=cgrid)
             for R in (1.0, 2.0, 4.0)
@@ -143,12 +168,12 @@ class TestCylinderSplit:
         # non-circular flat body: no closed form needed, the two sides are
         # computed through unrelated code paths (3d mixed density vs planar)
         K = flattened_ellipse(1.3, 0.6, 0.01)
-        f = from_callable(3, lambda U: 1.0 + 0.4 * U[:, 1] ** 2, label="f")
+        f = polynomial(3, {(0, 0, 0): 1.0, (0, 2, 0): 0.4}, label="f")
         rep = cylinder_lemma_residual(f, K, 3.0, grid=rgrid, circle=cgrid)
         assert rep.relative_residual <= 0.02
 
     def test_validation(self, rgrid, cgrid, unit_disc):
-        f4 = from_callable(4, lambda U: np.ones(len(U)), label="1")
+        f4 = constant(4, 1.0)
         with pytest.raises(DomainError):
             cylinder_lemma_residual(f4, unit_disc, 1.0, grid=rgrid, circle=cgrid)
         with pytest.raises(DomainError):
@@ -213,7 +238,7 @@ class TestReductionLimit:
         assert lim.corrected_errors[-1] <= 0.005
 
     def test_nonconstant_weight(self, rgrid, cgrid, unit_disc):
-        f = from_callable(3, lambda U: 1.0 + 0.4 * U[:, 0] ** 2, label="f")
+        f = polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.4}, label="f")
         lim = dimension_reduction_limit(
             f, unit_disc, R_list=(8.0, 32.0), grid=rgrid, circle=cgrid
         )

@@ -5,17 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import fd_hessian_of_extension
 
 import areafun.sphere as sp
 from areafun.errors import DomainError, EvaluationError
 from areafun.sphere import (
-    SphericalFunction,
     bump,
     combination,
     compose_orthogonal,
     constant,
     frames,
-    from_callable,
     latitude_grid,
     linear,
     make_grid,
@@ -39,26 +38,6 @@ def rand_unit(n, m=1, rng=RNG):
     X = rng.normal(size=(m, n))
     X /= np.linalg.norm(X, axis=1)[:, None]
     return X[0] if m == 1 else X
-
-
-def fd_hessian_of_extension(f, x, h=1e-4):
-    n = len(x)
-    H = np.empty((n, n))
-    f0 = f.extension_value(x)
-    for a in range(n):
-        ea = np.zeros(n)
-        ea[a] = h
-        H[a, a] = (f.extension_value(x + ea) - 2 * f0 + f.extension_value(x - ea)) / h**2
-        for b in range(a + 1, n):
-            eb = np.zeros(n)
-            eb[b] = h
-            H[a, b] = H[b, a] = (
-                f.extension_value(x + ea + eb)
-                - f.extension_value(x + ea - eb)
-                - f.extension_value(x - ea + eb)
-                + f.extension_value(x - ea - eb)
-            ) / (4 * h**2)
-    return H
 
 
 class TestExtensionCalculus:
@@ -106,19 +85,6 @@ class TestExtensionCalculus:
             f.extension_hessian(2.0 * x), 0.5 * f.extension_hessian(x), rtol=1e-10
         )
 
-    def test_fd_fallback_agrees_with_analytic(self):
-        terms = {(2, 0, 0): 1.0, (0, 2, 0): -1.0}
-        fa = polynomial(3, terms)
-        fn = from_callable(3, lambda U: U[:, 0] ** 2 - U[:, 1] ** 2)
-        assert fn.derivative_mode == "finite-difference"
-        x = rand_unit(3)
-        np.testing.assert_allclose(
-            fn.extension_gradient(x), fa.extension_gradient(x), atol=1e-8
-        )
-        np.testing.assert_allclose(
-            fn.extension_hessian(x), fa.extension_hessian(x), atol=5e-6
-        )
-
     def test_origin_rejected(self):
         f = constant(3, 1.0)
         with pytest.raises(DomainError):
@@ -135,7 +101,6 @@ class TestExtensionCalculus:
         f = combination([2.0, -1.0], [constant(3, 1.0), linear(3, [0.0, 0.0, 1.0])])
         u = np.array([0.0, 0.0, 1.0])
         assert f.value(u) == pytest.approx(1.0)
-        assert f.derivative_mode == "analytic"
         # rotate z -> x
         R = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
         g = compose_orthogonal(f, R)

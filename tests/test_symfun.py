@@ -13,7 +13,6 @@ import pytest
 
 from areafun.errors import DomainError
 from areafun.symfun import (
-    CofactorTensor2,
     cofactor,
     cofactor2,
     cofactor_batch,
