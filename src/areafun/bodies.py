@@ -7,10 +7,10 @@ when K has a C^2 boundary with everywhere positive curvature, and its
 eigenvalues are the principal radii of curvature at the boundary point with
 outer normal u.
 
-Hessian-form stacks and their eigenvalues are cached on the grid, keyed by
-the support function.  Densities are polynomials in the stack (see
-areafun.symfun); the eigenvalues are computed only where the spectrum is the
-question, for curvature certification.
+Hessian-form stacks are cached on the grid, keyed by the support function:
+the one cache.  Densities are polynomials in the stack (see areafun.symfun);
+eigenvalues are solved from it, uncached, only where the spectrum is the
+question, and a pencil h + s phi is certified without forming its forms.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class SupportBody:
         return grid.q_stack(self.h)
 
     def q_eigs(self, grid):
-        """Eigenvalues of the Hessian forms, (m, n-1), ascending; cached on the grid."""
-        return grid.q_eigs(self.h, lambda: self.q_stack(grid))
+        """Eigenvalues of the cached Hessian forms, (m, n-1), ascending; not cached."""
+        return np.linalg.eigvalsh(self.q_stack(grid))
 
     def translate(self, v):
         v = np.asarray(v, dtype=float)

@@ -343,16 +343,20 @@ class Settings:
         return self.get(key, default, cast=lambda s: int(s, 0))
 
     def get_float(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        return _float(raw, f"--{key.replace('_', '-')}")
+        vals = self.get_floats(key, (default,))
+        if len(vals) != 1:
+            raise DomainError(f"expected one number for --{key.replace('_', '-')}, got {len(vals)}")
+        return vals[0]
 
     def get_floats(self, key, default=None):
+        # every float flag is a tolerance, factor, radius, width or scale
         raw = self._raw(key)
         if raw is None:
             return default
-        return tuple(_floats(raw, key))
+        vals = tuple(_floats(raw, f"--{key.replace('_', '-')}"))
+        if min(vals, default=0.0) < 0:
+            raise DomainError(f"--{key.replace('_', '-')} must not be negative: {raw!r}")
+        return vals
 
     def get_bool(self, key, default=None):
         raw = self._raw(key)

@@ -19,18 +19,18 @@ import numpy as np
 from .bodies import (
     SupportBody,
     ball,
-    certify_c2plus,
     certified_minimum,
     certified_strength,
     combine,
     ellipsoid,
+    largest_certified_strength,
     perturb,
     realize_q,
 )
 from .conditions import DEFAULT_TOL, EigenSumScan, check_mi
 from .errors import DomainError, SearchError
 from .functionals import (
-    first_variation,
+    _pencil_integral,
     functional_difference,
     functional_segment,
     functional_value,
@@ -649,14 +649,17 @@ def monotonicity_counterexample(
     negative, but delta_reg caps the certifiable strength: the realized
     body's minimum curvature *is* delta_reg, at the very point being bumped,
     so s_max ~ delta_reg / |min curvature of the bump form|.  Hence the sweep
-    is over regularizations and bump widths jointly, probing per pair the
-    largest strength whose endpoint certifies (curvature is concave along
-    the pencil, so endpoint certification covers the whole segment).
+    is over regularizations and bump widths jointly, wide bumps first.
 
-    Certification runs on the caller's whole-sphere grid; the probed drop
-    F(K) - F(L) is integrated on a cap grid around the bump, plus an explicit
-    bound on the tail left outside, because the bump's density change is a
-    localized near-cancellation that global grids misintegrate.
+    A bump the loop reaches costs one node sweep of a cap grid around it,
+    fine and coarse, for the f-weighted pencil coefficients I_k of
+    F(K + s phi) - F(K) = sum_k I_k s^k (I_1 is the first variation): the
+    bump's density change is a localized near-cancellation that global
+    grids misintegrate.  Every drop F(K) - F(L) is then -sum_k I_k s^k, with
+    estimate |sum_k (I_k - I_k^coarse) s^k| and a bound on the tail outside
+    the cap.  A bump with I_1 < 0 is certified once on the whole-sphere grid
+    (largest_certified_strength; curvature is concave along the pencil), and
+    the s_values up to that s_max are probed, largest first.
 
     The sweep keeps the best decisive candidate and stops early once its
     drop clears the decision threshold by margin_target; the first decisive
@@ -681,9 +684,9 @@ def monotonicity_counterexample(
         delta_regs = (1.0,)  # the form is the identity; no regularization role
 
     diagnostics = []
-    bumps = [bump(f.n, u_star, kappa) for kappa in kappas]
-    caps = [_bump_cap(u_star, kappa) for kappa in kappas]
+    caps = {}  # kappa -> (bump, cap grid, theta_max), built when first reached
     fmax = float(np.max(np.abs(f.value(grid.nodes))))
+    powers = np.arange(1, i + 1)
     best = None
 
     for delta_reg in delta_regs:
@@ -706,54 +709,33 @@ def monotonicity_counterexample(
         # wide bumps first: their certified strength scales like
         # delta_reg/kappa, and the drop scales with strength times mass, so
         # width wins whenever the first variation has the right sign
-        candidates = []
-        for kappa, phi, (cap, theta_max) in zip(kappas, bumps, caps):
-            dF, dF_est = first_variation(f, K, phi, i, cap or grid, form="direct")
-            candidates.append((dF, kappa, phi, cap, theta_max))
+        for kappa in kappas:
+            if kappa not in caps:
+                caps[kappa] = (bump(f.n, u_star, kappa), *_bump_cap(u_star, kappa))
+            phi, cap, theta_max = caps[kappa]
+            pencil = _pencil_integral(f, K, phi, i)
+            sweep = cap or grid
+            fine, coarse = pencil(sweep), pencil(sweep.coarse())
+            dF = float(fine[0])
             diagnostics.append(
                 {
                     "stage": "bump",
                     "delta_reg": delta_reg,
                     "kappa": kappa,
                     "first_variation": dF,
-                    "estimate": dF_est,
+                    "estimate": float(abs(fine[0] - coarse[0])),
                 }
             )
-
-        qmin = float(np.min(K.q_eigs(grid)))
-        for dF, kappa, phi, cap, theta_max in candidates:
             if dF >= 0:
                 continue
-            # the bump's most negative curvature is 1 - 2 kappa at its
-            # center, so strengths above ~ qmin / (2 kappa - 1) cannot
-            # certify; start the sweep just above that instead of burning
-            # whole-sphere eigenvalue passes on hopeless strengths
-            s_guess = 1.25 * qmin / max(2.0 * kappa - 1.0, 1.0)
-            certified = False
-            for s in s_values:
-                if s > s_guess:
-                    continue
-                if not certified:
-                    cert = certify_c2plus(perturb(K, phi, s), grid)
-                    if not cert.ok:
-                        diagnostics.append(
-                            {
-                                "stage": "certify",
-                                "delta_reg": delta_reg,
-                                "kappa": kappa,
-                                "s": s,
-                                "min_eig": cert.min_eig,
-                            }
-                        )
-                        continue
-                    certified = True  # smaller s certified too: concave level
-                L = perturb(K, phi, s)
-                drop, est = functional_difference(f, K, L, i, cap or grid)
-                tail = (
-                    _bump_tail_bound(f.n, i, kappa, s, theta_max, fmax, qmax)
-                    if cap is not None
-                    else 0.0
-                )
+            s_max = largest_certified_strength(K, phi, grid)
+            diagnostics.append(
+                {"stage": "certify", "delta_reg": delta_reg, "kappa": kappa, "s_max": s_max}
+            )
+            for s in s_values[s_values <= s_max]:
+                drop = -float(fine @ s**powers)
+                est = abs(float((fine - coarse) @ s**powers))
+                tail = _bump_tail_bound(f.n, i, kappa, s, theta_max, fmax, qmax) if cap else 0.0
                 threshold = drop_factor * est + tail + 1e-9 * (1.0 + abs(F_K))
                 diagnostics.append(
                     {
@@ -779,7 +761,7 @@ def monotonicity_counterexample(
                         first_variation=dF,
                         delta_reg=float(delta_reg),
                         body_inner=K,
-                        body_outer=L,
+                        body_outer=perturb(K, phi, s),
                     )
                     if best is None or candidate.drop / candidate.threshold > best.drop / best.threshold:
                         best = candidate
@@ -830,8 +812,11 @@ def bm_segment_test(f, i, body_k, body_l, grid, t_count=21, tol_factor=5.0):
     nonpositive midpoint second differences, up to propagated quadrature
     tolerances.  If F is not strictly positive along the segment the power
     is undefined and only the weaker minimum comparison
-    F((1-t)K + tL) >= min(F(K), F(L)) is checked (form="min").
+    F((1-t)K + tL) >= min(F(K), F(L)) is checked (form="min").  Needs
+    t_count >= 3 samples, the fewest with a second difference.
     """
+    if t_count < 3:
+        raise DomainError(f"segment test needs t_count >= 3 samples, got {t_count}")
     ts = np.linspace(0.0, 1.0, t_count)
     vals, ests = functional_segment(f, body_k, body_l, i, ts, grid)
     floor = 1e-12 * (1.0 + np.max(np.abs(vals)))

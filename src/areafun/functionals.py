@@ -29,7 +29,13 @@ import numpy as np
 
 from .errors import DomainError
 from .sphere import frames, q_batch
-from .symfun import contract2_batch, cofactor_batch, elem_sym_batch, mixed_discriminant_batch
+from .symfun import (
+    contract2_batch,
+    cofactor_batch,
+    elem_sym_batch,
+    elem_sym_pencil,
+    mixed_discriminant_batch,
+)
 
 
 def convention_factor(n, i):
@@ -146,14 +152,15 @@ def volume(body, grid):
 # -- variations of F along support perturbations ------------------------------
 
 
-def _node_integral(body, vals):
+def _node_integral(body, vals, rows=()):
     """Per-grid integral g -> I(g) of the per-node values vals(U, Q, first),
-    with U a node block of g starting at node first and Q the body's Hessian
-    forms there, formed block by block into one array and summed once."""
+    shape (*rows, len(U)), with U a node block of g starting at node first
+    and Q the body's Hessian forms there, formed block by block into one
+    array and summed once, row by row."""
 
     def integral(g):
         Q = body.q_stack(g)
-        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b], b.start)))
+        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b], b.start), rows))
 
     return integral
 
@@ -170,6 +177,18 @@ def _first_variation_integral(f, body, phi, i, form):
         body,
         lambda U, Q, first: a.value(U)
         * np.einsum("mjk,mjk->m", cofactor_batch(Q, i), q_batch(b, U, first=first)),
+    )
+
+
+def _pencil_integral(f, body, phi, i):
+    """Per-grid integral g -> (I_1, .., I_i) of the f-weighted pencil
+    coefficients (elem_sym_pencil): F(h + s phi) - F(h) = sum_k I_k s^k
+    exactly.  I_1 is the direct first variation, node for node."""
+    _check_order(body.n, i)
+    return _node_integral(
+        body,
+        lambda U, Q, first: f.value(U) * elem_sym_pencil(Q, q_batch(phi, U, first=first), i),
+        (i,),
     )
 
 

@@ -450,9 +450,10 @@ class QuadratureGrid:
     reports |fine - coarse| as its error estimate, which callers
     conventionally assert against 5x.
 
-    Grids hash by identity.  Hessian-form stacks are cached on the grid,
+    Grids hash by identity.  Their one cache holds Hessian-form stacks,
     weakly keyed by the function, so an entry is freed with either of them;
-    ``grid_id`` is a label for reports and never a cache key.
+    eigenvalues and every other per-node quantity are formed from it on
+    demand.  ``grid_id`` is a label for reports and never a cache key.
     """
 
     n: int
@@ -463,7 +464,6 @@ class QuadratureGrid:
     coarse_rule: Callable[[], QuadratureGrid] | None = field(default=None, repr=False)
     _coarse: QuadratureGrid | None = field(default=None, init=False, repr=False)
     _q: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
-    _eigs: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     @property
     def grid_id(self):
@@ -492,15 +492,6 @@ class QuadratureGrid:
         if Q is None:
             Q = self._q[f] = q_batch(f, self.nodes)
         return Q
-
-    def q_eigs(self, f, stack=None):
-        """Ascending eigenvalues of the forms of f, (m, n-1), cached per function;
-        on a miss the forms come from stack() if given, else from q_stack(f)."""
-        lam = self._eigs.get(f)
-        if lam is None:
-            Q = self.q_stack(f) if stack is None else stack()
-            lam = self._eigs[f] = np.linalg.eigvalsh(Q)
-        return lam
 
     def node_values(self, per_block, rows=()):
         """Per-node values, shape (*rows, m), assembled one node block at a

@@ -480,13 +480,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["mi-check", "--f", "const:1", "--n", "3", "--i", "1", "--tol", "nan"],
-            ["mi-check", "--f", 'poly:"x1^2-x2^2"', "--n", "3", "--i", "2", "--tol", "inf"],
-            ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2", "--factor", "nan"],
+            ["mi-check", "--f", "const:1", "--n", "3", "--i", "1", "--tol", "nan", "--grid", "256"],
+            ["mi-check", "--f", 'poly:"x1^2-x2^2"', "--n", "3", "--i", "2", "--tol", "inf",
+             "--grid", "256"],
+            ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2", "--factor", "nan",
+             "--grid", "256"],
+            # a negative flag or too few segment samples is a usage error,
+            # not a verdict (exit 1 means a violation was found)
+            ["mi-check", "--f", "const:0.3", "--n", "3", "--i", "2", "--tol", "-1", "--grid", "256"],
+            ["bm-test", "--f", "const:1", "--i", "2", "--tol-factor=-1e9", "--grid", "256"],
+            ["bm-test", "--f", "const:1", "--i", "2", "--t", "2", "--grid", "256"],
+            ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2", "--factor", "-1",
+             "--grid", "256"],
+            ["mono-hunt", "--f", "const:1", "--n", "3", "--i", "2", "--kappas", "10,-3",
+             "--grid", "256"],
+            ["cylinder-check", "--f", "const:1", "--tol", "-1"],
+            ["dimred", "--f", "const:1", "--tol", "-1"],
         ],
     )
     def test_non_finite_float_flags_exit_2(self, capsys, argv):
-        code, doc = run_cli(capsys, argv + ["--grid", "256"])
+        code, doc = run_cli(capsys, argv)
         assert code == EXIT_USAGE and doc is None
 
     def test_argparse_rejections_exit_2(self):

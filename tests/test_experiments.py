@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from areafun import sphere
+from areafun import experiments, sphere
 from areafun.bodies import (
     SupportBody,
     ball,
@@ -181,6 +181,23 @@ class TestCounterexample:
         with pytest.raises(SearchError):
             monotonicity_counterexample(constant(3, 1.0), 2, grid3)
 
+    def test_one_sweep_and_one_certification_per_reached_bump(self, by_label, grid3, monkeypatch):
+        # the first, widest bump clears the margin target at once: the other
+        # three bumps are never swept, and the one probed bump is certified once
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return largest_certified_strength(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "largest_certified_strength", counting)
+        rep = monotonicity_counterexample(by_label["saddle3-0.45"].f, 2, grid3)
+        stages = [d["stage"] for d in rep.diagnostics]
+        assert stages.count("bump") == 1 and stages.count("certify") == 1
+        assert len(calls) == 1
+        (cert,) = [d for d in rep.diagnostics if d["stage"] == "certify"]
+        assert rep.s <= cert["s_max"] and rep.kappa == cert["kappa"]
+
 
 class TestSegmentProbes:
     def test_power_form_consistent_for_smooth_weight(self, grid3):
@@ -197,6 +214,10 @@ class TestSegmentProbes:
         assert probe.form == "min"
         assert math.isnan(probe.chord_gap)
         assert probe.consistent_with_concavity
+
+    def test_needs_three_samples(self, grid3):
+        with pytest.raises(DomainError, match="t_count >= 3"):
+            bm_segment_test(constant(3, 1.0), 2, ball(3), ball(3, 1.5), grid3, t_count=2)
 
     def test_order_one_segment_affine(self, grid3, by_label):
         gap, consistent = linearity_probe(
@@ -331,7 +352,7 @@ class TestPatchSweep:
             tracemalloc.stop()
         assert peak < m * N * N * 8, peak
         for g in (patch, coarse):
-            assert len(g._q) == 0 and len(g._eigs) == 0
+            assert len(g._q) == 0
 
 
 class TestRoundtrip:

@@ -9,6 +9,7 @@ from areafun import sphere
 from areafun.bodies import ball, ellipsoid, combine, perturb
 from areafun.errors import DomainError, EvaluationError
 from areafun.functionals import (
+    _pencil_integral,
     concavity_criterion,
     convention_factor,
     first_variation,
@@ -20,7 +21,7 @@ from areafun.functionals import (
     second_variation,
     volume,
 )
-from areafun.sphere import make_grid
+from areafun.sphere import cap_grid, make_grid
 from areafun.symfun import elem_sym_batch
 
 
@@ -304,6 +305,31 @@ class TestVariations:
         variation = {"first": first_variation, "second": second_variation}[kind]
         with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
             variation(fs["weight"], ball(3), fs["phi"], 2, grid, form=form)
+
+
+class TestPencil:
+    """The counterexample search's integrals: F(K + s phi) - F(K) read from
+    the pencil coefficients of one cap sweep."""
+
+    @pytest.mark.parametrize("n, i", [(3, 2), (4, 2), (4, 3)])
+    def test_matches_first_variation_and_difference(self, n, i):
+        rng = np.random.default_rng(90 + 10 * n + i)
+        u0 = rng.normal(size=n)
+        u0 /= np.linalg.norm(u0)
+        cap = cap_grid(u0, 0.9, 48, 64 if n == 3 else 160)
+        K = ellipsoid(rng.uniform(0.7, 1.5, size=n))
+        f = sphere.polynomial(n, {(0,) * n: 1.0, (2,) + (0,) * (n - 1): 0.4, (0, 1) + (0,) * (n - 2): -0.3})
+        phi = sphere.bump(n, u0, 10.0)
+        pencil = _pencil_integral(f, K, phi, i)
+        for g in (cap, cap.coarse()):
+            I = pencil(g)
+            assert I.shape == (i,)
+            assert I[0] == first_variation(f, K, phi, i, g, form="direct")[0]
+        fine = pencil(cap)
+        for s in (1e-3, 0.02, 0.1):
+            drop, _ = functional_difference(f, K, perturb(K, phi, s), i, cap)
+            got = fine @ s ** np.arange(1, i + 1)
+            assert abs(got + drop) <= 1e-10 * abs(drop), (s, got, drop)
 
 
 class TestConcavityCriterion:

@@ -173,22 +173,25 @@ class TestIdentityCaches:
             assert (val, est) == (fresh_val, fresh_est)
 
     def test_stacks_are_cached_per_function(self):
+        # the forms are the grid's one cache; eigenvalues are formed from them
         g = make_grid(3, 256)
         K = ellipsoid([1.0, 2.0, 3.0])
-        assert K.q_stack(g) is g.q_stack(K.h)
-        assert K.q_eigs(g) is g.q_eigs(K.h)
+        Q = K.q_stack(g)
+        assert Q is g.q_stack(K.h) and Q is K.q_stack(g)
+        np.testing.assert_array_equal(K.q_eigs(g), np.linalg.eigvalsh(Q))
+        assert K.q_stack(g) is Q
         L = ellipsoid([1.0, 2.0, 3.0])
-        assert L.q_stack(g) is not K.q_stack(g)
+        assert L.q_stack(g) is not Q
 
     def test_entries_are_freed_with_grid_or_function(self):
         g = make_grid(3, 256)
         K = ellipsoid([1.0, 2.0, 3.0])
-        by_body = weakref.ref(K.q_eigs(g))
+        by_body = weakref.ref(K.q_stack(g))
         del K
         gc.collect()
         assert by_body() is None
         K = ellipsoid([1.0, 2.0, 3.0])
-        by_grid = weakref.ref(K.q_eigs(g))
+        by_grid = weakref.ref(K.q_stack(g))
         del g
         gc.collect()
         assert by_grid() is None
