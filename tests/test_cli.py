@@ -487,7 +487,8 @@ class TestExitCodes:
              "--grid", "256"],
             # a negative flag or too few segment samples is a usage error,
             # not a verdict (exit 1 means a violation was found)
-            ["mi-check", "--f", "const:0.3", "--n", "3", "--i", "2", "--tol", "-1", "--grid", "256"],
+            ["mi-check", "--f", "const:0.3", "--n", "3", "--i", "2", "--tol", "-1",
+             "--grid", "256"],
             ["bm-test", "--f", "const:1", "--i", "2", "--tol-factor=-1e9", "--grid", "256"],
             ["bm-test", "--f", "const:1", "--i", "2", "--t", "2", "--grid", "256"],
             ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2", "--factor", "-1",

@@ -318,7 +318,8 @@ class TestPencil:
         u0 /= np.linalg.norm(u0)
         cap = cap_grid(u0, 0.9, 48, 64 if n == 3 else 160)
         K = ellipsoid(rng.uniform(0.7, 1.5, size=n))
-        f = sphere.polynomial(n, {(0,) * n: 1.0, (2,) + (0,) * (n - 1): 0.4, (0, 1) + (0,) * (n - 2): -0.3})
+        x1_sq, x1_x2 = (2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
+        f = sphere.polynomial(n, {(0,) * n: 1.0, x1_sq: 0.4, x1_x2: -0.3})
         phi = sphere.bump(n, u0, 10.0)
         pencil = _pencil_integral(f, K, phi, i)
         for g in (cap, cap.coarse()):
