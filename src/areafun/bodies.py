@@ -8,7 +8,9 @@ eigenvalues are the principal radii of curvature at the boundary point with
 outer normal u.
 
 Hessian-form stacks are cached on the grid, keyed by the support function:
-the one cache.  Densities are polynomials in the stack (see areafun.symfun);
+the one cache, read by the integrals over several bodies and the whole-grid
+certifications (one-body integrals form their forms block by block).
+Densities are polynomials in the stack (see areafun.symfun);
 eigenvalues are solved from it, uncached, only where the spectrum is the
 question, and a pencil h + s phi is certified without forming its forms.
 """

@@ -339,8 +339,11 @@ class Settings:
         return raw
 
     def get_int(self, key, default=None):
-        # base-0 int() so seeds may be written in hex
-        return self.get(key, default, cast=lambda s: int(s, 0))
+        # base 0 reads hex seeds; every integer flag is a count, order, size or seed
+        val = self.get(key, default, cast=lambda s: int(s, 0))
+        if val is not None and val < 0:
+            raise DomainError(f"--{key.replace('_', '-')} must not be negative: {val}")
+        return val
 
     def get_float(self, key, default=None):
         vals = self.get_floats(key, (default,))

@@ -19,7 +19,6 @@ import numpy as np
 from .bodies import (
     SupportBody,
     ball,
-    certified_minimum,
     certified_strength,
     combine,
     ellipsoid,
@@ -30,7 +29,7 @@ from .bodies import (
 from .conditions import DEFAULT_TOL, EigenSumScan, check_mi
 from .errors import DomainError, SearchError
 from .functionals import (
-    _pencil_integral,
+    _sweep,
     functional_difference,
     functional_segment,
     functional_value,
@@ -42,18 +41,15 @@ from .sphere import (
     cap_grid,
     combination,
     constant,
-    frames,
     make_grid,
     panel_grid,
     polynomial,
-    q_batch,
     q_matrix,
     quadratic_support,
     sphere_area,
     tangent_frame,
-    tangent_jet,
 )
-from .symfun import contract2, contract2_batch, cofactor_batch, elem_sym_pencil, trace_pair
+from .symfun import contract2, trace_pair
 
 # -- C^2 profile toolbox ----------------------------------------------------------
 #
@@ -501,8 +497,10 @@ def monotonicity_test(f, i, pairs, grid, tol_factor=10.0):
     Evaluates F(K) - F(L) as a single correlated difference integral; a pair
     is a violation when the drop exceeds tol_factor times its quadrature
     estimate (plus a floor).  K inside L should give F(K) <= F(L) whenever
-    the weight satisfies the order-i condition.
+    the weight satisfies the order-i condition.  No pairs, no test: DomainError.
     """
+    if not pairs:
+        raise DomainError("monotonicity test needs at least one nested pair")
     rows = []
     violations = []
     for idx, (K, L) in enumerate(pairs):
@@ -628,6 +626,22 @@ def _bump_tail_bound(n, i, kappa, s, theta_max, fmax, qmax):
     return sphere_area(n) * fmax * N * math.comb(N - 1, i - 1) * lam ** (i - 1) * s * p
 
 
+def _decisive_violation(f, i, grid, tol=None, report=None):
+    """The check_mi report of f at order i on grid (report, if the caller
+    holds it), which the searches need decisively violated: worst value below
+    -10 tol.  Raises SearchError otherwise."""
+    tol = DEFAULT_TOL if tol is None else float(tol)
+    rep = check_mi(f, i, grid) if report is None else report
+    if (rep.order, rep.grid_id) != (i, grid.grid_id):
+        raise DomainError(f"report is for order {rep.order} on {rep.grid_id}, not {i}")
+    if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
+        raise SearchError(
+            f"precondition: order-{i} condition not decisively violated for {f.label} "
+            f"(worst {rep.worst_value:.3e}, needs < {-10.0 * tol:.3e})"
+        )
+    return rep
+
+
 def monotonicity_counterexample(
     f,
     i,
@@ -638,7 +652,7 @@ def monotonicity_counterexample(
     delta_regs=(1e-3, 0.03, 0.1),
     drop_factor=10.0,
     margin_target=25.0,
-    scan=None,
+    report=None,
 ):
     """Construct nested bodies K inside L with F(K) > F(L).
 
@@ -666,15 +680,9 @@ def monotonicity_counterexample(
     hit often sits at the smallest regularization, where certification caps
     the strength and the margin with it.  Raises SearchError (with the sweep
     diagnostics) if nothing is decisive.  A caller already holding the
-    EigenSumScan of f on grid passes it as scan.
+    check_mi report of f at order i on grid passes it as report.
     """
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    rep = check_mi(f, i, grid, scan=scan)
-    if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
-        raise SearchError(
-            f"precondition: order-{i} condition not decisively violated "
-            f"(worst {rep.worst_value:.3e}, needs < {-10.0 * tol:.3e})"
-        )
+    rep = _decisive_violation(f, i, grid, tol, report)
     u_star = rep.worst_node
 
     if s_values is None:
@@ -713,9 +721,10 @@ def monotonicity_counterexample(
             if kappa not in caps:
                 caps[kappa] = (bump(f.n, u_star, kappa), *_bump_cap(u_star, kappa))
             phi, cap, theta_max = caps[kappa]
-            pencil = _pencil_integral(f, K, phi, i)
             sweep = cap or grid
-            fine, coarse = pencil(sweep), pencil(sweep.coarse())
+            fine, coarse = (
+                _sweep(f, K, phi, i, g, ("pencil",))[0] for g in (sweep, sweep.coarse())
+            )
             dF = float(fine[0])
             diagnostics.append(
                 {
@@ -825,33 +834,23 @@ def bm_segment_test(f, i, body_k, body_l, grid, t_count=21, tol_factor=5.0):
     ends_min = min(vals[0], vals[-1])
     min_gap = float(np.max(ends_min - vals - (tol_vals + tol_vals[0] + tol_vals[-1])))
 
-    if np.min(vals) <= 0.0:
-        return SegmentProbe(
-            order=int(i),
-            ts=ts,
-            values=vals,
-            estimates=ests,
-            form="min",
-            chord_gap=math.nan,
-            curvature_gap=math.nan,
-            min_gap=min_gap,
-            tol_factor=float(tol_factor),
-        )
-
-    G = vals ** (1.0 / i)
-    # d(F^(1/i)) = (1/i) F^(1/i - 1) dF
-    g_tol = (1.0 / i) * vals ** (1.0 / i - 1.0) * tol_vals + 1e-12 * (1.0 + np.max(G))
-    chord = (1.0 - ts) * G[0] + ts * G[-1]
-    chord_gap = float(np.max(chord - G - (g_tol + (1.0 - ts) * g_tol[0] + ts * g_tol[-1])))
-    d2 = G[:-2] - 2.0 * G[1:-1] + G[2:]
-    d2_tol = g_tol[:-2] + 2.0 * g_tol[1:-1] + g_tol[2:]
-    curvature_gap = float(np.max(d2 - d2_tol))
+    # the power is undefined unless F > 0 along the whole segment
+    form, chord_gap, curvature_gap = "min", math.nan, math.nan
+    if np.min(vals) > 0.0:
+        G = vals ** (1.0 / i)
+        # d(F^(1/i)) = (1/i) F^(1/i - 1) dF
+        g_tol = (1.0 / i) * vals ** (1.0 / i - 1.0) * tol_vals + 1e-12 * (1.0 + np.max(G))
+        chord = (1.0 - ts) * G[0] + ts * G[-1]
+        chord_gap = float(np.max(chord - G - (g_tol + (1.0 - ts) * g_tol[0] + ts * g_tol[-1])))
+        d2 = G[:-2] - 2.0 * G[1:-1] + G[2:]
+        d2_tol = g_tol[:-2] + 2.0 * g_tol[1:-1] + g_tol[2:]
+        form, curvature_gap = "power", float(np.max(d2 - d2_tol))
     return SegmentProbe(
         order=int(i),
         ts=ts,
         values=vals,
         estimates=ests,
-        form="power",
+        form=form,
         chord_gap=chord_gap,
         curvature_gap=curvature_gap,
         min_gap=min_gap,
@@ -901,31 +900,8 @@ class HuntReport:
         return self.found and self.segment_gap > 0
 
 
-def _patch_sweep(f, body, phi, i, grid, margin=None):
-    """The hunt's integrals on a patch grid from one node sweep: the adjoint
-    first variation, the gradient-form second variation and the f-weighted
-    pencil coefficients I_1 .. I_i; and, given a margin, the least
-    certified_minimum (else None).  A block forms its frames, the forms of
-    body and f, and phi's gradient and forms (one jet) once.  phi's value is
-    taken from phi.value, as in first_variation: the jet sits at u/|u|."""
-
-    def per_block(b):
-        U = grid.nodes[b]
-        E = frames(U)
-        Qh, Qf = (q_batch(g, U, E, first=b.start) for g in (body.h, f))
-        G, Qp = tangent_jet(phi, U, E, first=b.start)
-        pv, gp = phi.value(U), np.einsum("mia,mi->ma", E, G)  # gp: frame components
-        C, M = cofactor_batch(Qh, i), contract2_batch(Qh, i, Qf)
-        rows = [
-            pv * np.einsum("mjk,mjk->m", C, Qf),
-            pv * pv * np.einsum("mjj->m", M) - np.einsum("mj,mjk,mk->m", gp, M, gp),
-            *(f.value(U) * elem_sym_pencil(Qh, Qp, i, cof=C)),
-        ]
-        return rows if margin is None else rows + [certified_minimum(Qh, Qp, margin)]
-
-    vals = grid.node_values(per_block, (2 + i + (margin is not None),))
-    worst = None if margin is None else float(np.min(vals[-1]))
-    return grid.weighted_sum(vals[: 2 + i]), worst
+# the hunt's node sweep: its criterion's two variations, its segment's pencil
+_HUNT_ROWS = ("first/adjoint", "second/gradient", "pencil")
 
 
 def _pencil_segment(fine, coarse, s, ts):
@@ -1011,20 +987,16 @@ def bm_violation_hunt(
     which power concavity forbids.  The hit is then confirmed directly by a
     non-concave sampled i-th root along the segment toward K + s*phi, using
     correlated difference integrals on a patch grid resolving the
-    oscillation.  Each patch grid is walked once (_patch_sweep), so the
-    certified strength s is computed with the criterion, not after it
-    passes.  Returns a HuntReport either way; raises SearchError only when
+    oscillation.  Each patch grid is walked once, in one node sweep of
+    the adjoint first variation, the gradient-form second variation, the
+    pencil coefficients and, on the fine grid, the certified minimum, so the
+    certified strength s is computed with the criterion, not after it passes.
+    Returns a HuntReport either way; raises SearchError only when
     the pointwise precondition fails.
     """
     if i < 2:
         raise DomainError("order must be >= 2: order 1 has no concavity criterion")
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    rep = check_mi(f, i, grid)
-    if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
-        raise SearchError(
-            f"precondition: order-{i} condition not decisively violated for {f.label}"
-        )
-    u_star = rep.worst_node
+    u_star = _decisive_violation(f, i, grid, tol).worst_node
     n = f.n
     diagnostics = []
 
@@ -1053,8 +1025,8 @@ def bm_violation_hunt(
                 phi = oscillating_phi(u_star, v_amb, rho, eps, n, eta=eta)
                 patch = _oscillation_panel_grid(phi)
 
-                fine, worst = _patch_sweep(f, K, phi, i, patch, margin=1e-6)
-                coarse, _ = _patch_sweep(f, K, phi, i, patch.coarse())
+                fine, worst = _sweep(f, K, phi, i, patch, _HUNT_ROWS, margin=1e-6)
+                coarse, _ = _sweep(f, K, phi, i, patch.coarse(), _HUNT_ROWS)
                 (dF, d2F), (edF, ed2F) = fine[:2].tolist(), np.abs(fine[:2] - coarse[:2]).tolist()
                 value, vtol = power_concavity(i, F, estF, dF, edF, d2F, ed2F)
                 row = {
@@ -1183,7 +1155,7 @@ def theorem_roundtrip(
             elif rep.worst_value < -10.0 * DEFAULT_TOL:
                 try:
                     cex = monotonicity_counterexample(
-                        entry.f, i, grid, scan=scan, **counterexample_kwargs
+                        entry.f, i, grid, report=rep, **counterexample_kwargs
                     )
                     row["counterexample"] = True
                     row["drop"] = cex.drop

@@ -18,6 +18,10 @@ with f and phi exchanged — the weighted cofactor field is divergence-free, so
 second-order integration by parts on the sphere swaps them at no cost; the
 agreement of the forms is itself a strong correctness check (see
 areafun.identities).
+
+Every integral over one body is a row of one node sweep (_sweep), which
+forms each block's pieces once for all its rows and caches no form stack;
+integrals over several bodies read the bodies' cached stacks.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies import certified_minimum
 from .errors import DomainError
-from .sphere import frames, q_batch
+from .sphere import combination, frames, q_batch, tangent_jet
 from .symfun import (
     contract2_batch,
     cofactor_batch,
@@ -51,12 +56,8 @@ def _check_order(n, i):
 
 
 def functional_value(f, body, i, grid):
-    """F(K) = int f * density_i(K); returns (value, error_estimate)."""
-    if f.n != body.n:
-        raise DomainError("weight function and body live in different dimensions")
-    _check_order(body.n, i)
-
-    return grid.paired(_node_integral(body, lambda U, Q, _: f.value(U) * elem_sym_batch(Q, i)))
+    """F(K) = int f * density_i(K), one row of the node sweep; returns (value, estimate)."""
+    return _paired_row(f, body, None, i, grid, "value")
 
 
 def functional_difference(f, body_k, body_l, i, grid):
@@ -84,23 +85,20 @@ def functional_difference(f, body_k, body_l, i, grid):
 def functional_segment(f, body_k, body_l, i, ts, grid):
     """F along the Minkowski segment (1-t) K + t L for each t in ts.
 
-    The Hessian form is affine in the support function, so each t costs one
-    elem_sym_batch of the blended cached endpoint stacks.
-    Returns (values, error_estimates) as arrays over ts.
+    The segment's support function is h_K + t phi with phi = h_L - h_K, so F
+    there is the polynomial sum_k I_k t^k with I_0 = F(K) and I_1 .. I_i the
+    f-weighted pencil coefficients of Q_K along Q_phi: one sweep of the grid
+    and one of its coarse grid give every t.  Returns (values, error_estimates)
+    as arrays over ts, the estimate at t being |sum_k (I_k - I_k^coarse) t^k|.
     """
     if body_k.n != body_l.n or f.n != body_k.n:
         raise DomainError("segment endpoints and weight must share one dimension")
-    _check_order(body_k.n, i)
-    ts = np.asarray(ts, dtype=float)
-    out = np.empty(len(ts))
-    est = np.empty(len(ts))
-    for k, t in enumerate(ts):
-        def integral(g, t=t):
-            Q = (1.0 - t) * body_k.q_stack(g) + t * body_l.q_stack(g)
-            return g.weighted_sum(f.value(g.nodes) * elem_sym_batch(Q, i))
-
-        out[k], est[k] = grid.paired(integral)
-    return out, est
+    phi = combination([1.0, -1.0], [body_l.h, body_k.h])
+    fine, coarse = (
+        _sweep(f, body_k, phi, i, g, ("value", "pencil"))[0] for g in (grid, grid.coarse())
+    )
+    powers = np.asarray(ts, dtype=float)[:, None] ** np.arange(i + 1)
+    return powers @ fine, np.abs(powers @ (fine - coarse))
 
 
 def mixed_area_integral(f, bodies, grid):
@@ -117,12 +115,7 @@ def mixed_area_integral(f, bodies, grid):
         raise DomainError("all bodies and the weight must share one dimension")
     if len(bodies) != n - 1:
         raise DomainError(f"mixed integral needs exactly {n - 1} bodies, got {len(bodies)}")
-
-    def integral(g):
-        stacks = [b.q_stack(g) for b in bodies]
-        return g.weighted_sum(f.value(g.nodes) * mixed_discriminant_batch(stacks))
-
-    return grid.paired(integral)
+    return _mixed_integral(f.value, bodies, grid)
 
 
 def mixed_volume_smooth(bodies, grid):
@@ -136,12 +129,7 @@ def mixed_volume_smooth(bodies, grid):
         raise DomainError(f"mixed volume needs exactly n={n} bodies, got {len(bodies)}")
     if any(b.n != n for b in bodies):
         raise DomainError("mixed volume: dimension mismatch")
-
-    def integral(g):
-        stacks = [b.q_stack(g) for b in bodies[1:]]
-        return g.weighted_sum(bodies[0].support(g.nodes) * mixed_discriminant_batch(stacks))
-
-    v, e = grid.paired(integral)
+    v, e = _mixed_integral(bodies[0].support, bodies[1:], grid)
     return v / n, e / n
 
 
@@ -149,77 +137,100 @@ def volume(body, grid):
     return mixed_volume_smooth([body] * body.n, grid)
 
 
-# -- variations of F along support perturbations ------------------------------
-
-
-def _node_integral(body, vals, rows=()):
-    """Per-grid integral g -> I(g) of the per-node values vals(U, Q, first),
-    shape (*rows, len(U)), with U a node block of g starting at node first
-    and Q the body's Hessian forms there, formed block by block into one
-    array and summed once, row by row."""
+def _mixed_integral(weight, bodies, grid):
+    """Paired int weight(u) * D(Q_1, ..., Q_{n-1}) du over the bodies' cached stacks."""
 
     def integral(g):
-        Q = body.q_stack(g)
-        return g.weighted_sum(g.node_values(lambda b: vals(g.nodes[b], Q[b], b.start), rows))
+        stacks = [b.q_stack(g) for b in bodies]
+        return g.weighted_sum(weight(g.nodes) * mixed_discriminant_batch(stacks))
 
-    return integral
+    return grid.paired(integral)
 
 
-def _first_variation_integral(f, body, phi, i, form):
-    """Per-grid integral g -> I(g) of the first variation in the given form;
-    first_variation pairs it over grid and coarse grid, and the exchange
-    check in areafun.identities telescopes it over two refinements."""
+# -- the one-body node sweep ------------------------------------------------------
+
+
+class _Block:
+    """One node block U of a sweep, starting at node first: each per-node
+    piece of _PIECES is formed on first use and then shared by every row."""
+
+    def __init__(self, given, **block):
+        self.__dict__.update(given, **block)
+
+    def __getattr__(self, name):  # only for pieces not formed yet
+        if name not in _PIECES:
+            raise AttributeError(name)
+        setattr(self, name, _PIECES[name](self))
+        return self.__dict__[name]
+
+
+_PIECES = {
+    "E": lambda b: frames(b.U),
+    "Qh": lambda b: q_batch(b.body.h, b.U, b.E, first=b.first),
+    "Qf": lambda b: q_batch(b.f, b.U, b.E, first=b.first),
+    "jet": lambda b: tangent_jet(b.phi, b.U, b.E, b.first),  # phi's gradient and forms
+    "Qp": lambda b: b.jet[1],
+    # phi's spherical gradient in the frame, from the forms' jet when they are formed
+    "gp": lambda b: np.einsum(
+        "mia,mi->ma", b.E, b.jet[0] if b.with_forms else b.phi.extension_gradient(b.U)
+    ),
+    "fv": lambda b: b.f.value(b.U),
+    "pv": lambda b: b.phi.value(b.U),  # at u/|u|, as first_variation's value
+    "C": lambda b: cofactor_batch(b.Qh, b.i),
+    "M": lambda b: contract2_batch(b.Qh, b.i, b.Qf),
+}
+
+# every one-body integrand, once: its per-node values on a block, (m,) or, for
+# the pencil coefficients I_1 .. I_i, (i, m)
+_INTEGRANDS = {
+    "value": lambda b: b.fv * elem_sym_batch(b.Qh, b.i),
+    "first/direct": lambda b: b.fv * np.einsum("mjk,mjk->m", b.C, b.Qp),
+    "first/adjoint": lambda b: b.pv * np.einsum("mjk,mjk->m", b.C, b.Qf),
+    "second/quadratic": lambda b: b.fv
+    * np.einsum("mjk,mjk->m", contract2_batch(b.Qh, b.i, b.Qp), b.Qp),
+    "second/adjoint": lambda b: b.pv * np.einsum("mjk,mjk->m", b.M, b.Qp),
+    "second/gradient": lambda b: b.pv * b.pv * np.einsum("mjj->m", b.M)
+    - np.einsum("mj,mjk,mk->m", b.gp, b.M, b.gp),
+    "pencil": lambda b: b.fv * elem_sym_pencil(b.Qh, b.Qp, b.i, cof=b.C),
+}
+_WITHOUT_PHI_FORMS = {"value", "first/adjoint", "second/gradient"}  # rows that need no Q_phi
+
+
+def _sweep(f, body, phi, i, grid, rows, margin=None):
+    """The named integrands over grid from one walk of its node blocks.
+
+    Returns (sums, worst): the quadrature sums, one per row in order ("pencil"
+    gives the i coefficients I_1 .. I_i of F(h + s phi) - F(h) = sum_k I_k
+    s^k), each summed on its own as weighted_sum does; and, given a margin,
+    the least certified_minimum of Q_h along Q_phi over the nodes (else None).
+    """
+    if f.n != body.n:
+        raise DomainError("weight function and body live in different dimensions")
     _check_order(body.n, i)
-    if form not in ("direct", "adjoint"):
-        raise DomainError(f"unknown first-variation form {form!r}")
-    a, b = (f, phi) if form == "direct" else (phi, f)
-    return _node_integral(
-        body,
-        lambda U, Q, first: a.value(U)
-        * np.einsum("mjk,mjk->m", cofactor_batch(Q, i), q_batch(b, U, first=first)),
-    )
+    unknown = set(rows) - _INTEGRANDS.keys()
+    if unknown:
+        raise DomainError(f"unknown forms {sorted(unknown)}")
+    with_forms = margin is not None or not _WITHOUT_PHI_FORMS.issuperset(rows)
+    given = dict(f=f, body=body, phi=phi, i=i, with_forms=with_forms)
+    count = sum(i if r == "pencil" else 1 for r in rows)
+
+    def per_block(b):
+        k = _Block(given, U=grid.nodes[b], first=b.start)
+        vals = [_INTEGRANDS[r](k) for r in rows]
+        return np.vstack(vals if margin is None else vals + [certified_minimum(k.Qh, k.Qp, margin)])
+
+    vals = grid.node_values(per_block, (count + (margin is not None),))
+    worst = None if margin is None else float(np.min(vals[-1]))
+    return grid.weighted_sum(vals[:count]), worst
 
 
-def _pencil_integral(f, body, phi, i):
-    """Per-grid integral g -> (I_1, .., I_i) of the f-weighted pencil
-    coefficients (elem_sym_pencil): F(h + s phi) - F(h) = sum_k I_k s^k
-    exactly.  I_1 is the direct first variation, node for node."""
-    _check_order(body.n, i)
-    return _node_integral(
-        body,
-        lambda U, Q, first: f.value(U) * elem_sym_pencil(Q, q_batch(phi, U, first=first), i),
-        (i,),
-    )
+def _paired_row(f, body, phi, i, grid, row):
+    """(I(grid), |I(grid) - I(coarse)|) of one single-valued row, as floats."""
+    (value,), (est,) = grid.paired(lambda g: _sweep(f, body, phi, i, g, (row,))[0])
+    return float(value), float(est)
 
 
-def _second_variation_integral(f, body, phi, i, form):
-    """Per-grid integral of the second variation in the given form, shared as
-    _first_variation_integral is."""
-    _check_order(body.n, i)
-    if form == "quadratic":
-
-        def vals(U, Q, first):
-            Qp = q_batch(phi, U, first=first)
-            return f.value(U) * np.einsum("mjk,mjk->m", contract2_batch(Q, i, Qp), Qp)
-
-    elif form == "adjoint":
-
-        def vals(U, Q, first):
-            E = frames(U)
-            M = contract2_batch(Q, i, q_batch(f, U, E, first=first))
-            return phi.value(U) * np.einsum("mjk,mjk->m", M, q_batch(phi, U, E, first=first))
-
-    elif form == "gradient":
-
-        def vals(U, Q, first):
-            E = frames(U)  # gp: frame components of the spherical gradient of phi
-            M = contract2_batch(Q, i, q_batch(f, U, E, first=first))
-            pv, gp = phi.value(U), np.einsum("mia,mi->ma", E, phi.extension_gradient(U))
-            return pv * pv * np.einsum("mjj->m", M) - np.einsum("mj,mjk,mk->m", gp, M, gp)
-
-    else:
-        raise DomainError(f"unknown second-variation form {form!r}")
-    return _node_integral(body, vals)
+# -- variations of F along support perturbations ------------------------------
 
 
 def first_variation(f, body, phi, i, grid, form="direct"):
@@ -230,9 +241,9 @@ def first_variation(f, body, phi, i, grid, form="direct"):
 
     The two agree for C^2 data (divergence-free cofactor fields); "adjoint"
     needs second derivatives of f instead of phi, which is the right trade
-    when phi is rough and f is smooth.
+    when phi is rough and f is smooth.  One row of the node sweep.
     """
-    return grid.paired(_first_variation_integral(f, body, phi, i, form))
+    return _paired_row(f, body, phi, i, grid, f"first/{form}")
 
 
 def second_variation(f, body, phi, i, grid, form="quadratic"):
@@ -245,9 +256,10 @@ def second_variation(f, body, phi, i, grid, form="quadratic"):
 
     T is the second-derivative tensor of elem_sym(., i).  The gradient form
     uses only first derivatives of phi — the variant of choice for highly
-    oscillatory perturbations whose Hessians are numerically poisonous.
+    oscillatory perturbations whose Hessians are numerically poisonous; on
+    its own it asks phi for an order-1 jet.  One row of the node sweep.
     """
-    return grid.paired(_second_variation_integral(f, body, phi, i, form))
+    return _paired_row(f, body, phi, i, grid, f"second/{form}")
 
 
 # -- Brunn-Minkowski-type second-order criterion ------------------------------
@@ -294,10 +306,13 @@ def power_concavity(i, F, eF, dF, edF, d2F, ed2F):
 
 
 def concavity_criterion(f, body, phi, i, grid, form="quadratic"):
-    """Assemble the power-concavity second-order criterion with tolerances."""
-    F, eF = functional_value(f, body, i, grid)
-    dF, edF = first_variation(f, body, phi, i, grid)
-    d2F, ed2F = second_variation(f, body, phi, i, grid, form=form)
+    """Assemble the power-concavity second-order criterion with tolerances:
+    F, its direct first variation and its second variation in the given form
+    are three rows of one node sweep per grid."""
+    rows = ("value", "first/direct", f"second/{form}")
+    (F, dF, d2F), (eF, edF, ed2F) = (
+        a.tolist() for a in grid.paired(lambda g: _sweep(f, body, phi, i, g, rows)[0])
+    )
     value, tol = power_concavity(i, F, eF, dF, edF, d2F, ed2F)
     return ConcavityReport(
         value=float(value),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .functionals import _first_variation_integral, _second_variation_integral
+from .functionals import _sweep
 
 
 @dataclass
@@ -49,16 +49,19 @@ def _two_step(integral, grid):
     return fine, abs(fine - mid) + abs(mid - integral(grid.coarse().coarse()))
 
 
+def _exchange(f, phi, body, i, grid, rows):
+    """The report of the two rows, both from one node sweep per ladder level."""
+    (lhs, rhs), (el, er) = _two_step(lambda g: _sweep(f, body, phi, i, g, rows)[0], grid)
+    return IbpReport(lhs=float(lhs), rhs=float(rhs), lhs_estimate=float(el), rhs_estimate=float(er))
+
+
 def ibp_symmetry_residual(f, phi, body, i, grid):
     """First-order exchange symmetry: weight-vs-perturbation swap of the
-    cofactor-contracted integrand."""
-    lhs, el = _two_step(_first_variation_integral(f, body, phi, i, "direct"), grid)
-    rhs, er = _two_step(_first_variation_integral(f, body, phi, i, "adjoint"), grid)
-    return IbpReport(lhs=lhs, rhs=rhs, lhs_estimate=el, rhs_estimate=er)
+    cofactor-contracted integrand.  Both forms share each block's frames and
+    cofactor(Q_K, i)."""
+    return _exchange(f, phi, body, i, grid, ("first/direct", "first/adjoint"))
 
 
 def ibp_second_order_residual(f, phi, body, i, grid):
     """Second-order exchange symmetry through the order-2 derivative tensor."""
-    lhs, el = _two_step(_second_variation_integral(f, body, phi, i, "quadratic"), grid)
-    rhs, er = _two_step(_second_variation_integral(f, body, phi, i, "adjoint"), grid)
-    return IbpReport(lhs=lhs, rhs=rhs, lhs_estimate=el, rhs_estimate=er)
+    return _exchange(f, phi, body, i, grid, ("second/quadratic", "second/adjoint"))

@@ -503,6 +503,26 @@ class TestExitCodes:
         code, doc = run_cli(capsys, argv)
         assert code == EXIT_USAGE and doc is None
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # every integer flag is a count, order, dimension, resolution or
+            # seed, and a monotonicity test over no pair tests nothing
+            ["mono-test", "--f", "const:1", "--n", "3", "--i", "1", "--pairs", "-3",
+             "--grid", "256"],
+            ["mono-test", "--f", "const:1", "--n", "3", "--i", "1", "--pairs", "0",
+             "--grid", "256"],
+            ["corpus", "--labels", "const-1", "--pairs", "-1", "--grid3", "256"],
+            ["mono-test", "--f", "const:1", "--n", "3", "--i", "1", "--pairs", "2",
+             "--seed", "-1", "--grid", "256"],
+            ["eval", "--f", "const:1", "--n", "4", "--i", "1", "--grid-seed", "-2",
+             "--grid", "256"],
+        ],
+    )
+    def test_negative_or_empty_integer_flags_exit_2(self, capsys, argv):
+        code, doc = run_cli(capsys, argv)
+        assert code == EXIT_USAGE and doc is None
+
     def test_argparse_rejections_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["not-a-command"])

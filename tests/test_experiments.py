@@ -20,8 +20,8 @@ from areafun.bodies import (
 from areafun.conditions import EigenSumScan, check_mi
 from areafun.errors import DomainError, EvaluationError, SearchError
 from areafun.experiments import (
+    _HUNT_ROWS,
     _oscillation_panel_grid,
-    _patch_sweep,
     _pencil_segment,
     _violating_form,
     bm_segment_test,
@@ -35,7 +35,7 @@ from areafun.experiments import (
     oscillating_phi,
     theorem_roundtrip,
 )
-from areafun.functionals import first_variation, second_variation
+from areafun.functionals import _sweep, first_variation, functional_value, second_variation
 from areafun.sphere import constant, make_grid, polynomial, q_batch, tangent_frame
 from areafun.symfun import contract2, elem_sym_batch
 
@@ -170,12 +170,16 @@ class TestCounterexample:
         assert rep.decisive
         assert check_nested(rep.body_inner, rep.body_outer, grid4) >= 0.0
 
-    def test_reuses_callers_scan(self, by_label, grid3):
+    def test_reuses_callers_report(self, by_label, grid3, monkeypatch):
         f = by_label["saddle3-0.45"].f
         a = monotonicity_counterexample(f, 2, grid3)
-        b = monotonicity_counterexample(f, 2, grid3, scan=EigenSumScan(f, grid3))
+        report = check_mi(f, 2, grid3, scan=EigenSumScan(f, grid3))
+        monkeypatch.setattr(experiments, "check_mi", None)  # a second scan would fail
+        b = monotonicity_counterexample(f, 2, grid3, report=report)
         assert (a.drop, a.threshold, a.kappa, a.s) == (b.drop, b.threshold, b.kappa, b.s)
         np.testing.assert_array_equal(a.u_star, b.u_star)
+        with pytest.raises(DomainError, match="report is for order 2"):
+            monotonicity_counterexample(f, 1, grid3, report=report)
 
     def test_requires_decisive_violation(self, grid3):
         with pytest.raises(SearchError):
@@ -291,8 +295,8 @@ class TestPatchSweep:
         K, phi = _hunt_setting(f, i, eps)
         patch = _oscillation_panel_grid(phi, order=order)
         assert len(patch) > sphere.NODE_BLOCK
-        fine, worst = _patch_sweep(f, K, phi, i, patch, margin=1e-6)
-        coarse, none = _patch_sweep(f, K, phi, i, patch.coarse())
+        fine, worst = _sweep(f, K, phi, i, patch, _HUNT_ROWS, margin=1e-6)
+        coarse, none = _sweep(f, K, phi, i, patch.coarse(), _HUNT_ROWS)
         assert none is None
         refs = [
             first_variation(f, K, phi, i, patch, form="adjoint"),
@@ -330,11 +334,14 @@ class TestPatchSweep:
         fs = {"body": constant(3, 1.0), "weight": constant(3, 1.0), "phi": constant(3, 0.5)}
         fs[slot] = nan
         with pytest.raises(EvaluationError, match=f"nan-late at node {bad}: "):
-            _patch_sweep(fs["weight"], SupportBody(fs["body"]), fs["phi"], 2, grid, margin=1e-6)
+            _sweep(
+                fs["weight"], SupportBody(fs["body"]), fs["phi"], 2, grid, _HUNT_ROWS, margin=1e-6
+            )
 
     def test_one_setting_holds_no_form_stack(self, by_label):
-        # the n=4 benchmark setting: two sweeps and the segment arrays stay
-        # below one (m, N, N) stack of the patch and leave its caches empty
+        # the n=4 benchmark setting: two sweeps and the segment arrays, and
+        # F and the first variation on the patch, stay below one (m, N, N)
+        # stack of the patch and leave its caches empty
         f = by_label["saddle4-0.55"].f
         K, phi = _hunt_setting(f, 3, 0.08)
         patch = _oscillation_panel_grid(phi)
@@ -343,10 +350,12 @@ class TestPatchSweep:
         assert m >= 500_000
         tracemalloc.start()
         try:
-            fine, worst = _patch_sweep(f, K, phi, 3, patch, margin=1e-6)
-            rough, _ = _patch_sweep(f, K, phi, 3, coarse)
+            fine, worst = _sweep(f, K, phi, 3, patch, _HUNT_ROWS, margin=1e-6)
+            rough, _ = _sweep(f, K, phi, 3, coarse, _HUNT_ROWS)
             s = 0.8 * min(certified_strength(worst), 1.0)
             _pencil_segment(fine[2:], rough[2:], s, np.linspace(0.0, 1.0, 9))
+            functional_value(f, K, 3, patch)
+            first_variation(f, K, phi, 3, patch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from areafun import sphere
+from areafun import functionals, sphere
 from areafun.bodies import ball, ellipsoid, combine, perturb
 from areafun.errors import DomainError, EvaluationError
+from areafun.identities import ibp_symmetry_residual
 from areafun.functionals import (
-    _pencil_integral,
+    _sweep,
     concavity_criterion,
     convention_factor,
+    power_concavity,
     first_variation,
     functional_difference,
     functional_segment,
@@ -21,7 +23,7 @@ from areafun.functionals import (
     second_variation,
     volume,
 )
-from areafun.sphere import cap_grid, make_grid
+from areafun.sphere import QuadratureGrid, cap_grid, make_grid, node_blocks
 from areafun.symfun import elem_sym_batch
 
 
@@ -193,6 +195,46 @@ class TestSegment:
         c = np.polyfit(ts[:3], vals[:3], 2)
         assert np.polyval(c, 0.25) == pytest.approx(vals[3], rel=1e-9)
 
+    @pytest.mark.parametrize("n, i", [(3, 1), (3, 2), (4, 2), (4, 3)])
+    def test_pencil_matches_blended_stacks(self, n, i):
+        # one integral of the blended endpoint stacks per t, as the segment
+        # was computed before it moved onto the pencil coefficients
+        grid = make_grid(n, 4096, seed=5)
+        rng = np.random.default_rng(30 + n + i)
+        K, L = ellipsoid(rng.uniform(0.6, 1.6, size=n)), ellipsoid(rng.uniform(0.6, 1.6, size=n))
+        x1_sq = (2,) + (0,) * (n - 1)
+        f = sphere.polynomial(n, {(0,) * n: 1.0, x1_sq: 0.4})
+        ts = np.linspace(0.0, 1.0, 11)
+        vals, ests = functional_segment(f, K, L, i, ts, grid)
+        for t, v, e in zip(ts, vals, ests):
+            def integral(g, t=t):
+                Q = (1.0 - t) * K.q_stack(g) + t * L.q_stack(g)
+                return g.weighted_sum(f.value(g.nodes) * elem_sym_batch(Q, i))
+
+            want, want_est = grid.paired(integral)
+            assert abs(v - want) <= 1e-13 * abs(want), (t, v, want)
+            assert e == pytest.approx(want_est, rel=1e-4, abs=1e-12 * abs(want))
+
+    def test_walks_each_level_once(self, grid3, monkeypatch):
+        walks = count_walks(monkeypatch)
+        K, L = ellipsoid([1.0, 1.5, 2.0]), ball(3, 0.8)
+        functional_segment(ONE3, K, L, 2, np.linspace(0.0, 1.0, 21), grid3)
+        assert walks == [len(grid3), len(grid3.coarse())]
+
+
+def count_walks(monkeypatch):
+    """The node counts of the grids that QuadratureGrid.node_values walks, in
+    call order, from here on."""
+    walks = []
+    walk = QuadratureGrid.node_values
+
+    def counting(self, per_block, rows=()):
+        walks.append(len(self))
+        return walk(self, per_block, rows)
+
+    monkeypatch.setattr(QuadratureGrid, "node_values", counting)
+    return walks
+
 
 class TestDifference:
     def test_equals_subtraction_on_shared_grid(self, grid3):
@@ -321,7 +363,9 @@ class TestPencil:
         x1_sq, x1_x2 = (2,) + (0,) * (n - 1), (1, 1) + (0,) * (n - 2)
         f = sphere.polynomial(n, {(0,) * n: 1.0, x1_sq: 0.4, x1_x2: -0.3})
         phi = sphere.bump(n, u0, 10.0)
-        pencil = _pencil_integral(f, K, phi, i)
+        def pencil(g):
+            return _sweep(f, K, phi, i, g, ("pencil",))[0]
+
         for g in (cap, cap.coarse()):
             I = pencil(g)
             assert I.shape == (i,)
@@ -364,3 +408,55 @@ class TestConcavityCriterion:
         assert rep.value == pytest.approx(
             rep.functional * rep.second - 0.5 * rep.first**2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("form", ["quadratic", "adjoint", "gradient"])
+    def test_rows_equal_the_single_row_calls(self, grid3, form):
+        # the three rows share one sweep per grid, yet each is bit-equal to
+        # its own call
+        K = ellipsoid([1.0, 1.3, 0.9])
+        f = sphere.polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.4})
+        phi = sphere.polynomial(3, {(0, 0, 2): 1.0, (1, 1, 0): -0.5})
+        rep = concavity_criterion(f, K, phi, 2, grid3, form=form)
+        F, eF = functional_value(f, K, 2, grid3)
+        dF, edF = first_variation(f, K, phi, 2, grid3)
+        d2F, ed2F = second_variation(f, K, phi, 2, grid3, form=form)
+        assert (rep.functional, rep.first, rep.second) == (F, dF, d2F)
+        value, tol = power_concavity(2, F, eF, dF, edF, d2F, ed2F)
+        assert (rep.value, rep.tolerance) == (value, tol)
+
+    def test_walks_each_level_once(self, grid3, monkeypatch):
+        walks = count_walks(monkeypatch)
+        concavity_criterion(ONE3, ball(3), sphere.constant(3, 1.0), 2, grid3)
+        assert walks == [len(grid3), len(grid3.coarse())]
+
+
+class TestSweep:
+    """The one node sweep behind every one-body integral."""
+
+    def test_forms_the_cofactor_once_per_block(self, monkeypatch):
+        # the direct and adjoint first variations of the exchange check
+        # contract one cofactor(Q_K, i) per node block
+        grid = make_grid(3, sphere.NODE_BLOCK + 100)
+        f = sphere.polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.4})
+        phi = sphere.polynomial(3, {(0, 0, 2): 1.0})
+        calls = []
+        cofactor = functionals.cofactor_batch
+        monkeypatch.setattr(
+            functionals, "cofactor_batch", lambda Q, i: calls.append(len(Q)) or cofactor(Q, i)
+        )
+        ibp_symmetry_residual(f, phi, ellipsoid([1.0, 1.3, 0.9]), 2, grid)
+        levels = [grid, grid.coarse(), grid.coarse().coarse()]
+        assert calls == [b.stop - b.start for g in levels for b in node_blocks(len(g))]
+
+    def test_gradient_alone_asks_phi_for_order_one(self, grid3):
+        # on its own the gradient form never asks phi for its Hessian
+        orders = []
+        phi = sphere.polynomial(3, {(0, 0, 2): 1.0, (1, 1, 0): -0.5})
+        spy = sphere.SphericalFunction(
+            3, lambda Y, order: orders.append(order) or phi._jet(Y, order)
+        )
+        f = sphere.polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.4})
+        K = ellipsoid([1.0, 1.3, 0.9])
+        got = second_variation(f, K, spy, 2, grid3, form="gradient")
+        assert max(orders) == 1
+        assert got == second_variation(f, K, phi, 2, grid3, form="gradient")

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from areafun.bodies import ellipsoid
+from areafun.bodies import ball, ellipsoid
 from areafun.errors import DomainError
-from areafun.functionals import functional_value
+from areafun.functionals import functional_difference
 from areafun.sphere import (
     cap_grid,
     constant,
@@ -49,13 +49,15 @@ def body_for(n):
 
 
 def assert_no_shared_entries(g1, g2):
-    """A body evaluated on g1 and then on g2 gives on g2 what a fresh body does."""
+    """Bodies evaluated on g1 and then on g2 give on g2 what fresh bodies do.
+    functional_difference reads both bodies' cached stacks, on the grid and
+    on its coarse grid."""
     assert len(g1) == len(g2)
     f = constant(g1.n, 1.0)
-    K = body_for(g1.n)
-    functional_value(f, K, 1, g1)
-    got = functional_value(f, K, 1, g2)
-    want = functional_value(f, body_for(g2.n), 1, g2)
+    K, B = body_for(g1.n), ball(g1.n)
+    functional_difference(f, K, B, 1, g1)
+    got = functional_difference(f, K, B, 1, g2)
+    want = functional_difference(f, body_for(g2.n), ball(g2.n), 1, g2)
     assert got == want
 
 
@@ -161,14 +163,17 @@ class TestDegenerateCoarse:
 class TestIdentityCaches:
     def test_equal_size_latitude_grids_do_not_collide(self):
         # both grids and both of their coarse grids have 800 nodes; the
-        # second must be served its own stacks, not the first grid's
-        want = spheroid_area(1.0, 0.5)
+        # second must be served its own stacks, not the first grid's.  The
+        # difference against a ball of radius 1/2 (area pi) reads the cache.
+        want = spheroid_area(1.0, 0.5) - math.pi
         one = constant(3, 1.0)
-        K = ellipsoid([1.0, 1.0, 0.5])
+        K, B = ellipsoid([1.0, 1.0, 0.5]), ball(3, 0.5)
         for nz, naz in [(40, 20), (20, 40)]:
             g = latitude_grid(nz, naz)
-            val, est = functional_value(one, K, 2, g)
-            fresh_val, fresh_est = functional_value(one, ellipsoid([1.0, 1.0, 0.5]), 2, g)
+            val, est = functional_difference(one, K, B, 2, g)
+            fresh_val, fresh_est = functional_difference(
+                one, ellipsoid([1.0, 1.0, 0.5]), ball(3, 0.5), 2, g
+            )
             assert val == pytest.approx(want, rel=1e-6)
             assert (val, est) == (fresh_val, fresh_est)
 

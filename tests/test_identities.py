@@ -5,8 +5,8 @@ import pytest
 
 from areafun import sphere
 from areafun.bodies import ball, ellipsoid
-from areafun.identities import ibp_second_order_residual, ibp_symmetry_residual
-from areafun.functionals import first_variation, second_variation
+from areafun.identities import _two_step, ibp_second_order_residual, ibp_symmetry_residual
+from areafun.functionals import _sweep, first_variation, second_variation
 from areafun.sphere import make_grid
 
 RNG = np.random.default_rng(1234)
@@ -88,6 +88,23 @@ class TestRefinementLadder:
                 sides.append((value, gap1 + gap2))
             assert (rep.lhs, rep.lhs_estimate) == sides[0]
             assert (rep.rhs, rep.rhs_estimate) == sides[1]
+
+    def test_sides_equal_the_single_row_two_step(self, grid3):
+        # both sides come from one sweep per level, each bit-equal to its own
+        f = random_poly(3, np.random.default_rng(10))
+        phi = random_poly(3, np.random.default_rng(11))
+        K = ellipsoid([1.0, 1.3, 0.8])
+        cases = [
+            (ibp_symmetry_residual, ("first/direct", "first/adjoint")),
+            (ibp_second_order_residual, ("second/quadratic", "second/adjoint")),
+        ]
+        for residual, rows in cases:
+            rep = residual(f, phi, K, 2, grid3)
+            sides = [
+                _two_step(lambda g, row=row: _sweep(f, K, phi, 2, g, (row,))[0][0], grid3)
+                for row in rows
+            ]
+            assert [(rep.lhs, rep.lhs_estimate), (rep.rhs, rep.rhs_estimate)] == sides
 
 
 class TestIbpSecondOrder:

@@ -47,3 +47,53 @@ def test_no_module_imports_an_unread_name():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+# the per-node kernels a per-block integrand is made of
+BLOCK_KERNELS = {
+    "frames",
+    "q_batch",
+    "tangent_jet",
+    "cofactor_batch",
+    "contract2_batch",
+    "elem_sym_batch",
+    "elem_sym_pencil",
+    "certified_minimum",
+}
+
+
+def node_walkers(source):
+    """(top-level definition, line) of every call of .node_values(...)."""
+    return sorted(
+        (getattr(top, "name", None), node.lineno)
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "node_values"
+    )
+
+
+def test_one_node_sweep_for_every_one_body_integral():
+    # node blocks are walked only by functionals (its one sweep) and by the
+    # strength search, which reuses the body's whole-grid forms across calls
+    walkers = {
+        (path.stem, name)
+        for path in MODULES
+        if path.parent.name == "areafun"
+        for name, _ in node_walkers(path.read_text(encoding="utf-8"))
+    }
+    assert {m for m, _ in walkers} == {"functionals", "bodies"}
+    assert {(m, name) for m, name in walkers if m == "bodies"} == {
+        ("bodies", "largest_certified_strength")
+    }
+    # and the drivers and the identity checks build no per-block integrand
+    for stem in ("experiments", "identities"):
+        tree = ast.parse((ROOT / "src" / "areafun" / f"{stem}.py").read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        assert not bound & BLOCK_KERNELS, (stem, bound & BLOCK_KERNELS)
