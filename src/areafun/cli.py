@@ -7,8 +7,10 @@ violation is found (or a hunt comes back empty-handed), 2 for usage and
 configuration errors, 3 for numerical failures.
 
 A config file (--config, one ``key = value`` per line, ``#`` comments) may
-preset any long flag, with explicit flags taking precedence.  Function
-arguments use a small spec language::
+preset any long flag, with explicit flags taking precedence; a key that is a
+flag of no subcommand is a usage error.  A list flag needs at least one value,
+and --help states every default.  Function arguments use a small spec
+language::
 
     poly:"x1^2 - x2^2"        polynomial in x1..xn restricted to the sphere
     const:2.5                 constant
@@ -295,6 +297,8 @@ def parse_flat(spec, delta):
 
 
 def load_config(path):
+    """``key = value`` lines; each key must be a flag of some subcommand."""
+    known = {flag.replace("-", "_") for cmd in COMMANDS.values() for flag, *_ in _flags(cmd)}
     cfg = {}
     try:
         with open(path) as fh:
@@ -305,7 +309,10 @@ def load_config(path):
                 key, eq, val = s.partition("=")
                 if not eq or not key.strip():
                     raise DomainError(f"{path}:{k}: expected 'key = value', got {s!r}")
-                cfg[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if key not in known:
+                    raise DomainError(f"{path}:{k}: {key!r} is not a flag of any subcommand")
+                cfg[key] = val.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}")
     return cfg
@@ -318,61 +325,53 @@ class Settings:
         self.args = args
         self.config = config
 
-    def _raw(self, key):
-        v = getattr(self.args, key, None)
-        if v is not None:
-            return v
-        return self.config.get(key)
-
-    def _cast(self, key, raw, cast):
+    def get(self, key, default=None, cast=str):
+        """The value of --key.  Text, whether from a flag, the config or the
+        default, goes through cast; a cast's ValueError is a usage error."""
+        raw = getattr(self.args, key, None)
+        if raw is None:
+            raw = self.config.get(key, default)
+        if not isinstance(raw, str):
+            return raw
         try:
             return cast(raw)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise DomainError(f"bad value for --{key.replace('_', '-')}: {exc}")
 
-    def get(self, key, default=None, cast=str):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if isinstance(raw, str) and cast is not str:
-            return self._cast(key, raw, cast)
-        return raw
-
     def get_int(self, key, default=None):
-        # base 0 reads hex seeds; every integer flag is a count, order, size or seed
-        val = self.get(key, default, cast=lambda s: int(s, 0))
-        if val is not None and val < 0:
-            raise DomainError(f"--{key.replace('_', '-')} must not be negative: {val}")
-        return val
+        return self.get(key, default, _count)
 
-    def get_float(self, key, default=None):
-        vals = self.get_floats(key, (default,))
-        if len(vals) != 1:
-            raise DomainError(f"expected one number for --{key.replace('_', '-')}, got {len(vals)}")
-        return vals[0]
 
-    def get_floats(self, key, default=None):
-        # every float flag is a tolerance, factor, radius, width or scale
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        vals = tuple(_floats(raw, f"--{key.replace('_', '-')}"))
-        if min(vals, default=0.0) < 0:
-            raise DomainError(f"--{key.replace('_', '-')} must not be negative: {raw!r}")
+def _amount(text, parse=float):
+    # every float flag is a tolerance, factor, radius, width or scale, and
+    # every integer flag a count, order, size or seed
+    x = parse(text)
+    if not 0 <= x < math.inf:
+        raise ValueError(f"must be finite and not negative: {text!r}")
+    return x
+
+
+def _count(text):
+    return _amount(text, lambda t: int(t, 0))  # base 0 reads hex seeds
+
+
+def _switch(text):
+    low = text.strip().lower()
+    if low not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return low in ("1", "true", "yes", "on")
+
+
+def _list(item):
+    """Cast of a comma-separated flag: one or more items, each cast by item."""
+
+    def cast(text):
+        vals = tuple(item(x.strip()) for x in text.split(",") if x.strip())
+        if not vals:
+            raise ValueError(f"needs at least one value: {text!r}")
         return vals
 
-    def get_bool(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        if isinstance(raw, bool):
-            return raw
-        low = str(raw).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise DomainError(f"bad boolean for --{key.replace('_', '-')}: {raw!r}")
+    return cast
 
 
 # -- report emission ---------------------------------------------------------------
@@ -383,23 +382,14 @@ def _jsonable(obj):
         return {
             f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
         }
-    if isinstance(obj, SupportBody):
-        return obj.label
-    if isinstance(obj, SphericalFunction):
+    if isinstance(obj, (SupportBody, SphericalFunction)):
         return obj.label
     if isinstance(obj, np.ndarray):
         return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if math.isnan(x):
-            return "nan"
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)  # "nan", "inf" or "-inf": JSON has no such numbers
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -407,508 +397,342 @@ def _jsonable(obj):
     return obj
 
 
-def emit_json(command, payload, out=None, stream=None):
-    doc = {"command": command, "version": __version__}
-    doc.update(payload)
+def emit_json(command, payload, out=None):
+    doc = {"command": command, "version": __version__, **payload}
     doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)
 
 
 def write_csv(path, header, rows):
-    if not path:
-        return
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_csv_cell(x) for x in row])
+        for row in rows:  # the csv module would write numpy's repr of a numpy float
+            w.writerow([repr(float(x)) if isinstance(x, (float, np.floating)) else x for x in row])
 
 
-def _csv_cell(x):
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
+# -- commands ----------------------------------------------------------------------
 
 
-# -- shared flag groups -------------------------------------------------------------
+def _given(**kwargs):
+    """The keyword arguments that have a value; the rest keep the callee's defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _add_common(p, want_i=True):
-    # --f and --i are not argparse-required, so that --config can preset them
-    p.add_argument("--f", help="weight function spec")
-    p.add_argument("--n", help="ambient dimension (default 3)")
-    if want_i:
-        p.add_argument("--i", help="order of the density (1..n-1)")
-    p.add_argument("--grid", help="grid resolution (default 8192; 65536 for n=4)")
-    p.add_argument("--grid-seed", dest="grid_seed", help="seed for sampled grids")
+def _rows(header, records):
+    """A CSV header and one row per record, a dict or a report read by attribute."""
+    return header, [
+        [r.get(h, "") if isinstance(r, dict) else getattr(r, h) for h in header] for r in records
+    ]
 
 
-def _resolve_common(st, want_i=True):
-    n = st.get_int("n", 3)
-    if n < 2:
-        raise DomainError("ambient dimension must be at least 2")
-    res = st.get_int("grid", 65536 if n >= 4 else 8192)
-    grid = make_grid(n, res, seed=st.get_int("grid_seed", 0))
-    if st.get("f") is None:
-        raise DomainError("a weight function --f is required")
-    out = {"n": n, "grid": grid}
-    if want_i:
-        i = st.get_int("i")
-        if i is None or not 1 <= i <= n - 1:
-            raise DomainError(f"order --i must satisfy 1 <= i <= {n - 1}")
-        out["i"] = i
-    return out
+def _report(*header):
+    """The csv function of a one-row table: the named fields of the report."""
+    return lambda p: _rows(list(header), [p["report"]])
 
 
-# -- command handlers ------------------------------------------------------------
+def _columns(header, *fields):
+    """The csv function of a table whose k-th row holds the k-th item of each
+    of the report's list fields."""
+    return lambda p: (header, list(zip(*(getattr(p["report"], f) for f in fields))))
 
 
-def cmd_mi_check(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    rep = check_mi(
-        f,
-        c["i"],
-        c["grid"],
-        tol=st.get_float("tol"),
-        refine=st.get_bool("refine", True),
-    )
-    emit_json(
-        "mi-check",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "grid_id": c["grid"].grid_id,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["order", "verdict", "worst_value", "tolerance"]
-        + [f"worst_node_{k + 1}" for k in range(c["n"])],
-        [[rep.order, rep.verdict, rep.worst_value, rep.tolerance, *rep.worst_node]],
-    )
-    return EXIT_OK if rep.ok else EXIT_VIOLATION
+def _mi_check(s, c):
+    rep = check_mi(c.f, c.i, c.grid, tol=s.tol, refine=s.refine)
+    return {"report": rep}, rep.ok
 
 
-def cmd_mono_test(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    pairs = nested_pairs(c["n"], st.get_int("pairs", 12), seed=st.get_int("seed", 0))
-    rep = monotonicity_test(
-        f, c["i"], pairs, c["grid"], tol_factor=st.get_float("tol_factor", 10.0)
-    )
-    emit_json(
-        "mono-test",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "grid_id": c["grid"].grid_id,
-            "consistent": rep.consistent,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["pair", "drop", "estimate", "threshold", "violation"],
-        [
-            [r["pair"], r["drop"], r["estimate"], r["threshold"], r["violation"]]
-            for r in rep.rows
-        ],
-    )
-    return EXIT_OK if rep.consistent else EXIT_VIOLATION
+def _mi_check_csv(p):
+    rep = p["report"]
+    nodes = [f"worst_node_{k + 1}" for k in range(len(rep.worst_node))]
+    row = [rep.order, rep.verdict, rep.worst_value, rep.tolerance, *rep.worst_node]
+    return ["order", "verdict", "worst_value", "tolerance", *nodes], [row]
 
 
-def cmd_mono_hunt(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    kwargs = {}
-    if st.get_floats("kappas") is not None:
-        kwargs["kappas"] = st.get_floats("kappas")
-    if st.get_floats("delta_regs") is not None:
-        kwargs["delta_regs"] = st.get_floats("delta_regs")
-    try:
-        rep = monotonicity_counterexample(f, c["i"], c["grid"], **kwargs)
-    except SearchError as exc:
-        emit_json(
-            "mono-hunt",
-            {"f": f.label, "n": c["n"], "i": c["i"], "found": False, "reason": str(exc)},
-            out=args.out,
-        )
-        return EXIT_VIOLATION
-    emit_json(
-        "mono-hunt",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "grid_id": c["grid"].grid_id,
-            "found": True,
-            "decisive": rep.decisive,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["order", "kappa", "s", "drop", "threshold", "value_inner", "value_outer"],
-        [[rep.order, rep.kappa, rep.s, rep.drop, rep.threshold, rep.value_inner, rep.value_outer]],
-    )
-    return EXIT_OK
+def _mono_test(s, c):
+    pairs = nested_pairs(c.n, s.pairs, seed=s.seed)
+    rep = monotonicity_test(c.f, c.i, pairs, c.grid, tol_factor=s.tol_factor)
+    return {"consistent": rep.consistent, "report": rep}, rep.consistent
 
 
-def cmd_bm_test(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    K = parse_body(st.get("K", "ball:1"), c["n"])
-    L = parse_body(st.get("L", "ellipsoid:" + ",".join(["1"] * (c["n"] - 1)) + ",2"), c["n"])
-    probe = bm_segment_test(
-        f,
-        c["i"],
-        K,
-        L,
-        c["grid"],
-        t_count=st.get_int("t", 21),
-        tol_factor=st.get_float("tol_factor", 5.0),
-    )
-    emit_json(
-        "bm-test",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "K": K.label,
-            "L": L.label,
-            "grid_id": c["grid"].grid_id,
-            "consistent_with_concavity": probe.consistent_with_concavity,
-            "report": probe,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["t", "value", "estimate"],
-        list(zip(probe.ts, probe.values, probe.estimates)),
-    )
-    return EXIT_OK if probe.consistent_with_concavity else EXIT_VIOLATION
+def _mono_hunt(s, c):
+    given = _given(kappas=s.kappas, delta_regs=s.delta_regs)
+    rep = monotonicity_counterexample(c.f, c.i, c.grid, **given)
+    return {"found": True, "decisive": rep.decisive, "report": rep}, True
 
 
-def cmd_bm2_test(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    body = parse_body(st.get("body", "ball:1"), c["n"])
-    phi = parse_function(st.get("phi", 'poly:"x1*x2"'), c["n"])
-    rep = concavity_criterion(
-        f, body, phi, c["i"], c["grid"], form=st.get("form", "quadratic")
-    )
-    emit_json(
-        "bm2-test",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "body": body.label,
-            "phi": phi.label,
-            "grid_id": c["grid"].grid_id,
-            "consistent_with_concavity": rep.consistent_with_concavity,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["order", "criterion", "tolerance", "functional", "first", "second"],
-        [[rep.order, rep.value, rep.tolerance, rep.functional, rep.first, rep.second]],
-    )
-    return EXIT_OK if rep.consistent_with_concavity else EXIT_VIOLATION
+def _bm_test(s, c):
+    K, L = parse_body(s.K, c.n), parse_body(s.L, c.n)
+    rep = bm_segment_test(c.f, c.i, K, L, c.grid, t_count=s.t, tol_factor=s.tol_factor)
+    ok = rep.consistent_with_concavity
+    return {"K": K, "L": L, "consistent_with_concavity": ok, "report": rep}, ok
 
 
-def cmd_bm_hunt(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    kwargs = {}
-    if st.get_floats("rho") is not None:
-        kwargs["rho_list"] = st.get_floats("rho")
-    if st.get_floats("eps") is not None:
-        kwargs["eps_list"] = st.get_floats("eps")
-    if st.get_float("eta") is not None:
-        kwargs["eta"] = st.get_float("eta")
-    try:
-        rep = bm_violation_hunt(f, c["i"], c["grid"], **kwargs)
-    except SearchError as exc:
-        emit_json(
-            "bm-hunt",
-            {"f": f.label, "n": c["n"], "i": c["i"], "found": False, "reason": str(exc)},
-            out=args.out,
-        )
-        return EXIT_VIOLATION
-    emit_json(
-        "bm-hunt",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "grid_id": c["grid"].grid_id,
-            "found": rep.found,
-            "confirmed": rep.confirmed,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["order", "rho", "eps", "s", "criterion_value", "criterion_tol", "segment_gap"],
-        [[rep.order, rep.rho, rep.eps, rep.s, rep.criterion_value, rep.criterion_tol, rep.segment_gap]],
-    )
-    return EXIT_OK if rep.confirmed else EXIT_VIOLATION
+def _bm2_test(s, c):
+    body, phi = parse_body(s.body, c.n), parse_function(s.phi, c.n)
+    rep = concavity_criterion(c.f, body, phi, c.i, c.grid, form=s.form)
+    ok = rep.consistent_with_concavity
+    return {"body": body, "phi": phi, "consistent_with_concavity": ok, "report": rep}, ok
 
 
-def cmd_eval(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    body = parse_body(st.get("body", "ball:1"), c["n"])
-    val, est = functional_value(f, body, c["i"], c["grid"])
-    emit_json(
-        "eval",
-        {
-            "f": f.label,
-            "n": c["n"],
-            "i": c["i"],
-            "body": body.label,
-            "grid_id": c["grid"].grid_id,
-            "value": val,
-            "estimate": est,
-        },
-        out=args.out,
-    )
-    write_csv(args.csv, ["value", "estimate"], [[val, est]])
-    return EXIT_OK
+def _bm2_test_csv(p):
+    rep = p["report"]
+    row = [rep.order, rep.value, rep.tolerance, rep.functional, rep.first, rep.second]
+    return ["order", "criterion", "tolerance", "functional", "first", "second"], [row]
 
 
-def cmd_mollify(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st, want_i=False)
-    f = parse_function(st.get("f"), c["n"])
-    ks = [int(k) for k in st.get_floats("k", (4.0, 8.0, 16.0))]
-    samples = st.get_int("samples", 200)
-    seed = st.get_int("seed", 0)
-    i = st.get_int("i")
-    base = check_mi(f, i, c["grid"]) if i is not None else None
+def _bm_hunt(s, c):
+    rep = bm_violation_hunt(c.f, c.i, c.grid, **_given(rho_list=s.rho, eps_list=s.eps, eta=s.eta))
+    return {"found": rep.found, "confirmed": rep.confirmed, "report": rep}, rep.confirmed
+
+
+def _eval(s, c):
+    body = parse_body(s.body, c.n)
+    val, est = functional_value(c.f, body, c.i, c.grid)
+    return {"body": body, "value": val, "estimate": est}, True
+
+
+def _mollify(s, c):
+    base = check_mi(c.f, c.i, c.grid) if c.i is not None else None
     # preservation is only a claim when the input satisfies the condition;
     # smoothing a violating function may legitimately stay violating
     applicable = base is not None and base.ok
-    rows = []
-    preserved_all = True
-    for k in ks:
-        fk = mollify(f, k, samples=samples, seed=seed)
-        dist = sup_distance(f, fk, c["grid"])
-        row = {"k": k, "sup_distance": dist}
-        if i is not None:
-            rep = check_mi(fk, i, c["grid"])
-            row["verdict"] = rep.verdict
-            row["worst_value"] = rep.worst_value
-            if applicable:
-                preserved_all = preserved_all and rep.ok
+    rows, preserved = [], True
+    for k in s.k:
+        fk = mollify(c.f, k, samples=s.samples, seed=s.seed)
+        row = {"k": k, "sup_distance": sup_distance(c.f, fk, c.grid)}
+        if base is not None:
+            rep = check_mi(fk, c.i, c.grid)
+            row.update(verdict=rep.verdict, worst_value=rep.worst_value)
+            preserved = preserved and (rep.ok or not applicable)
         rows.append(row)
     dists = [r["sup_distance"] for r in rows]
     decreasing = all(a >= b for a, b in zip(dists, dists[1:]))
-    ok = decreasing and (preserved_all or not applicable)
-    payload = {
-        "f": f.label,
-        "n": c["n"],
-        "grid_id": c["grid"].grid_id,
-        "k": ks,
-        "rows": rows,
-        "sup_distances_decreasing": decreasing,
-    }
-    if i is not None:
-        payload["i"] = i
+    payload = {"k": s.k, "rows": rows, "sup_distances_decreasing": decreasing}
+    if base is not None:
         payload["input_verdict"] = base.verdict
-        payload["condition_preserved"] = preserved_all if applicable else None
-    emit_json("mollify", payload, out=args.out)
-    header = ["k", "sup_distance"] + (["verdict", "worst_value"] if i is not None else [])
-    write_csv(args.csv, header, [[r[h] for h in header] for r in rows])
-    return EXIT_OK if ok else EXIT_VIOLATION
+        payload["condition_preserved"] = preserved if applicable else None
+    return payload, decreasing and preserved
 
 
-def cmd_ibp_check(args, config):
-    st = Settings(args, config)
-    c = _resolve_common(st)
-    f = parse_function(st.get("f"), c["n"])
-    # default perturbation mixes parities so the compared integrals are
-    # generically nonzero; a parity-degenerate pair leaves both sides at
-    # quadrature-noise scale where the 5x rule compares noise to noise
-    phi = parse_function(st.get("phi", 'poly:"x1^2 + x1*x2"'), c["n"])
-    body = parse_body(st.get("body", "ball:1"), c["n"])
-    rep = ibp_symmetry_residual(f, phi, body, c["i"], c["grid"])
-    ok = rep.within(factor=st.get_float("factor", 5.0))
-    emit_json(
-        "ibp-check",
-        {
-            "f": f.label,
-            "phi": phi.label,
-            "body": body.label,
-            "n": c["n"],
-            "i": c["i"],
-            "grid_id": c["grid"].grid_id,
-            "within_tolerance": ok,
-            "residual": rep.residual,
-            "combined_estimate": rep.combined_estimate,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["lhs", "rhs", "residual", "lhs_estimate", "rhs_estimate"],
-        [[rep.lhs, rep.rhs, rep.residual, rep.lhs_estimate, rep.rhs_estimate]],
-    )
-    return EXIT_OK if ok else EXIT_VIOLATION
+def _ibp_check(s, c):
+    phi, body = parse_function(s.phi, c.n), parse_body(s.body, c.n)
+    rep = ibp_symmetry_residual(c.f, phi, body, c.i, c.grid)
+    ok = rep.within(factor=s.factor)
+    payload = {"phi": phi, "body": body, "within_tolerance": ok, "report": rep}
+    return {**payload, "residual": rep.residual, "combined_estimate": rep.combined_estimate}, ok
 
 
-def cmd_cylinder_check(args, config):
-    st = Settings(args, config)
-    deltas = st.get_floats("deltas", (0.05, 0.02, 0.01))
-    K1 = parse_flat(st.get("K1", "disc:1"), max(deltas))
-    f = parse_function(st.get("f", "const:1"), 3)
-    R = st.get_float("R", 1.0)
-    tol = st.get_float("tol", 0.02)
-    grid = reduction_grid(st.get_int("nz", 800), st.get_int("naz", 96))
+def _cylinder_check(s, c):
+    K1, f = parse_flat(s.K1, max(s.deltas)), parse_function(s.f, 3)
+    grid = reduction_grid(s.nz, s.naz)
     circle = circle_grid()  # shared, so both checks reuse K1's planar stacks
-    rep = cylinder_lemma_residual(f, K1, R, deltas=deltas, grid=grid, circle=circle)
-    ok = rep.relative_residual <= tol
-    payload = {
-        "f": f.label,
-        "K1": K1.planar.label,
-        "R": R,
-        "tol": tol,
-        "within_tolerance": ok,
-        "relative_residual": rep.relative_residual,
-        "report": rep,
-    }
-    rows = [
-        ["lhs", d, v, e]
-        for d, v, e in zip(rep.deltas, rep.lhs_values, rep.lhs_estimates)
-    ]
-    if st.get("L") is not None:
-        L = parse_body(st.get("L"), 3)
-        seg = segment_factor_identity(K1, L, deltas=deltas, grid=grid, circle=circle)
-        seg_ok = seg.relative_residual <= tol
+    rep = cylinder_lemma_residual(f, K1, s.R, deltas=s.deltas, grid=grid, circle=circle)
+    ok = rep.relative_residual <= s.tol
+    payload = {"f": f, "K1": K1.planar, "R": s.R, "tol": s.tol, "report": rep}
+    payload.update(within_tolerance=ok, relative_residual=rep.relative_residual)
+    if s.L is not None:
+        L = parse_body(s.L, 3)
+        seg = segment_factor_identity(K1, L, deltas=s.deltas, grid=grid, circle=circle)
+        seg_ok = seg.relative_residual <= s.tol
         ok = ok and seg_ok
-        payload["segment_identity"] = seg
-        payload["segment_within_tolerance"] = seg_ok
-        rows += [
-            ["segment", d, v, ""] for d, v in zip(seg.deltas, seg.ambient_values)
-        ]
-    emit_json("cylinder-check", payload, out=args.out)
-    write_csv(args.csv, ["series", "delta", "value", "estimate"], rows)
-    return EXIT_OK if ok else EXIT_VIOLATION
+        payload.update(segment_identity=seg, segment_within_tolerance=seg_ok)
+    return payload, ok
 
 
-def cmd_dimred(args, config):
-    st = Settings(args, config)
-    deltas = st.get_floats("deltas", (0.02, 0.01))
-    K1 = parse_flat(st.get("K1", "disc:1"), max(deltas))
-    f = parse_function(st.get("f", "const:1"), 3)
-    R_list = st.get_floats("R", (2.0, 8.0, 32.0))
-    tol = st.get_float("tol", 0.02)
-    grid = reduction_grid(st.get_int("nz", 800), st.get_int("naz", 96))
-    rep = dimension_reduction_limit(f, K1, R_list=R_list, deltas=deltas, grid=grid)
+def _cylinder_check_csv(p):
+    rep, seg = p["report"], p.get("segment_identity")
+    rows = [["lhs", d, v, e] for d, v, e in zip(rep.deltas, rep.lhs_values, rep.lhs_estimates)]
+    if seg is not None:
+        rows += [["segment", d, v, ""] for d, v in zip(seg.deltas, seg.ambient_values)]
+    return ["series", "delta", "value", "estimate"], rows
+
+
+def _dimred(s, c):
+    K1, f = parse_flat(s.K1, max(s.deltas)), parse_function(s.f, 3)
+    grid = reduction_grid(s.nz, s.naz)
+    rep = dimension_reduction_limit(f, K1, R_list=s.R, deltas=s.deltas, grid=grid)
     decaying = all(a > b for a, b in zip(rep.raw_errors, rep.raw_errors[1:]))
-    ok = rep.corrected_errors[-1] <= tol and decaying
-    emit_json(
-        "dimred",
-        {
-            "f": f.label,
-            "K1": K1.planar.label,
-            "tol": tol,
-            "within_tolerance": ok,
-            "raw_errors_decay": decaying,
-            "report": rep,
-        },
-        out=args.out,
-    )
-    write_csv(
-        args.csv,
-        ["R", "scaled_value", "corrected_value", "raw_error", "corrected_error"],
-        [
-            [R, s, cv, re_, ce]
-            for R, s, cv, re_, ce in zip(
-                rep.R_list,
-                rep.scaled_values,
-                rep.corrected_values,
-                rep.raw_errors,
-                rep.corrected_errors,
-            )
-        ],
-    )
-    return EXIT_OK if ok else EXIT_VIOLATION
+    ok = rep.corrected_errors[-1] <= s.tol and decaying
+    payload = {"f": f, "K1": K1.planar, "tol": s.tol, "within_tolerance": ok}
+    return {**payload, "raw_errors_decay": decaying, "report": rep}, ok
 
 
-def cmd_corpus(args, config):
-    st = Settings(args, config)
-    seed = st.get_int("seed")
-    entries = corpus() if seed is None else corpus(seed=seed)
-    labels = st.get("labels")
-    if labels is not None:
-        wanted = {s.strip() for s in labels.split(",") if s.strip()}
-        unknown = wanted - {e.label for e in entries}
+def _corpus(s, c):
+    entries = corpus(**_given(seed=s.seed))
+    if s.labels is not None:
+        unknown = set(s.labels) - {e.label for e in entries}
         if unknown:
             raise DomainError(f"unknown corpus labels: {sorted(unknown)}")
-        entries = [e for e in entries if e.label in wanted]
+        entries = [e for e in entries if e.label in s.labels]
     dims = sorted({e.n for e in entries})
-    grids = {}
-    for n in dims:
-        res = st.get_int(f"grid{n}", 65536 if n >= 4 else 8192)
-        grids[n] = make_grid(n, res, seed=st.get_int("grid_seed", 0))
-    rows, summary = theorem_roundtrip(
-        entries,
-        grids,
-        pairs_per_dim=st.get_int("pairs", 8),
-        seed=st.get_int("pair_seed", 2024),
-    )
-    ok = (
-        summary["marginal"] == 0
-        and summary["empirical_violations"] == 0
-        and summary["counterexamples_failed"] == 0
-    )
-    emit_json(
-        "corpus",
-        {
-            "entries": [e.label for e in entries],
-            "summary": summary,
-            "all_clear": ok,
-            "rows": rows,
-        },
-        out=args.out,
-    )
-    header = [
-        "label", "n", "i", "verdict", "worst_value", "tolerance",
-        "empirical_violations", "counterexample", "drop", "threshold",
-    ]
-    write_csv(args.csv, header, [[r.get(h, "") for h in header] for r in rows])
-    return EXIT_OK if ok else EXIT_VIOLATION
+    grids = {n: make_grid(n, getattr(s, f"grid{n}"), seed=s.grid_seed) for n in dims}
+    rows, summary = theorem_roundtrip(entries, grids, pairs_per_dim=s.pairs, seed=s.pair_seed)
+    counts = ("marginal", "empirical_violations", "counterexamples_failed")
+    ok = all(summary[k] == 0 for k in counts)
+    payload = {"entries": [e.label for e in entries], "summary": summary, "all_clear": ok}
+    return {**payload, "rows": rows}, ok
 
 
-# -- parser ------------------------------------------------------------------------
+# -- the command table ---------------------------------------------------------------
+#
+# An entry holds a command's help line, its flags, whether it takes the common
+# --f/--n/--i/--grid/--grid-seed group, whether it is a hunt (a SearchError
+# then means nothing was found: exit 1 and no CSV), run and csv.  A flag is
+# (name, cast, default, help).  A default is text: it goes through the cast
+# like a value given on the command line, and --help quotes it.  A callable
+# default takes the dimension n and its help states it.  REQUIRED marks a flag
+# without a default, which a --config file may still preset.
+
+REQUIRED = object()
+
+
+def _grid_default(n):
+    return "65536" if n >= 4 else "8192"
+
+
+def _far_body(n):
+    return "ellipsoid:" + "1," * (n - 1) + "2"
+
+
+GRID_SEED = ("grid-seed", _count, "0", "seed for sampled grids")
+COMMON = (
+    ("f", str, REQUIRED, "weight function spec"),
+    ("n", _count, "3", "ambient dimension"),
+    ("i", _count, REQUIRED, "order of the density, 1 <= i <= n-1"),
+    ("grid", _count, _grid_default, "grid resolution (default "
+     f"{_grid_default(3)} for n <= 3, {_grid_default(4)} for n >= 4)"),
+    GRID_SEED,
+)
+FILES = (
+    ("config", str, None, "key = value file presetting any long flag"),
+    ("out", str, None, "write the JSON summary here instead of stdout"),
+    ("csv", str, None, "write a CSV detail table here"),
+)
+BODY = ("body", str, "ball:1", "body spec")
+FLAT = (
+    ("f", str, "const:1", "weight function spec"),
+    ("K1", str, "disc:1", "flat body: disc:r or ellipse:a,b"),
+    ("nz", _count, "800", "polar resolution of the sphere grid"),
+    ("naz", _count, "96", "azimuthal resolution"),
+)
+
+COMMANDS = {
+    "mi-check": dict(
+        help="decide the order-i eigenvalue-sum condition", common=True,
+        run=_mi_check, csv=_mi_check_csv, flags=(
+            ("tol", _amount, None, "override the verdict tolerance"),
+            ("refine", _switch, "true", "local refinement around the worst node"),
+        )),
+    "mono-test": dict(
+        help="empirical monotonicity on random nested pairs", common=True,
+        run=_mono_test, flags=(
+            ("pairs", _count, "12", "number of nested pairs"),
+            ("seed", _count, "0", "pair-sampling seed"),
+            ("tol-factor", _amount, "10", "violation threshold factor"),
+        ),
+        csv=lambda p: _rows(["pair", "drop", "estimate", "threshold", "violation"],
+                            p["report"].rows)),
+    "mono-hunt": dict(
+        help="construct a monotonicity counterexample", common=True, hunt=True,
+        run=_mono_hunt, flags=(
+            ("kappas", _list(_amount), None, "bump concentrations to sweep"),
+            ("delta-regs", _list(_amount), None, "regularisations to sweep"),
+        ),
+        csv=_report("order", "kappa", "s", "drop", "threshold", "value_inner", "value_outer")),
+    "bm-test": dict(
+        help="power-concavity along a Minkowski segment", common=True,
+        run=_bm_test, csv=_columns(["t", "value", "estimate"], "ts", "values", "estimates"),
+        flags=(
+            ("K", str, "ball:1", "left endpoint body"),
+            ("L", str, _far_body, "right endpoint body (default "
+             f"{_far_body(3)} for n = 3, {_far_body(4)} for n = 4: n-1 ones, then 2)"),
+            ("t", _count, "21", "number of segment samples"),
+            ("tol-factor", _amount, "5", "violation threshold factor"),
+        )),
+    "bm2-test": dict(
+        help="second-order power-concavity criterion", common=True,
+        run=_bm2_test, csv=_bm2_test_csv, flags=(
+            BODY,
+            ("phi", str, 'poly:"x1*x2"', "perturbation spec"),
+            ("form", str, "quadratic", "second-variation form (quadratic/adjoint/gradient)"),
+        )),
+    "bm-hunt": dict(
+        help="hunt a confirmed power-concavity violation", common=True, hunt=True,
+        run=_bm_hunt, flags=(
+            ("rho", _list(_amount), None, "patch radii to sweep"),
+            ("eps", _list(_amount), None, "oscillation wavelengths to sweep"),
+            ("eta", _amount, None, "wave smoothing fraction"),
+        ),
+        csv=_report("order", "rho", "eps", "s", "criterion_value", "criterion_tol", "segment_gap")),
+    "eval": dict(
+        help="evaluate the order-i functional on a body", common=True,
+        run=_eval, csv=lambda p: _rows(["value", "estimate"], [p]), flags=(BODY,)),
+    "mollify": dict(
+        help="rotation-average smoothing diagnostics", common=True, run=_mollify, flags=(
+            ("i", _count, None, "also check order-i condition preservation"),
+            ("k", _list(_count), "4,8,16", "kernel scales"),
+            ("samples", _count, "200", "rotation samples per kernel"),
+            ("seed", _count, "0", "rotation sampling seed"),
+        ),
+        csv=lambda p: _rows(["k", "sup_distance"] + (
+            ["verdict", "worst_value"] if "input_verdict" in p else []), p["rows"])),
+    "ibp-check": dict(
+        help="first-order exchange-symmetry residual", common=True, run=_ibp_check, flags=(
+            # the default perturbation mixes parities so the compared integrals
+            # are generically nonzero; a parity-degenerate pair leaves both
+            # sides at quadrature-noise scale where the 5x rule compares noise
+            ("phi", str, 'poly:"x1^2 + x1*x2"', "perturbation spec"),
+            BODY,
+            ("factor", _amount, "5", "pass threshold in error-estimate units"),
+        ),
+        csv=_report("lhs", "rhs", "residual", "lhs_estimate", "rhs_estimate")),
+    "cylinder-check": dict(
+        help="cylinder splitting identity at n=3",
+        run=_cylinder_check, csv=_cylinder_check_csv, flags=FLAT + (
+            ("R", _amount, "1", "cylinder length"),
+            ("deltas", _list(_amount), "0.05,0.02,0.01", "thickness sweep"),
+            ("L", str, None, "also verify the segment-trading identity against this body"),
+            ("tol", _amount, "0.02", "relative-residual tolerance"),
+        )),
+    "dimred": dict(
+        help="scaled large-R limit onto the circle functional", run=_dimred, flags=FLAT + (
+            ("R", _list(_amount), "2,8,32", "cylinder lengths"),
+            ("deltas", _list(_amount), "0.02,0.01", "thickness sweep"),
+            ("tol", _amount, "0.02", "corrected-error tolerance at the largest R"),
+        ),
+        csv=_columns(["R", "scaled_value", "corrected_value", "raw_error", "corrected_error"],
+                     "R_list", "scaled_values", "corrected_values", "raw_errors",
+                     "corrected_errors")),
+    "corpus": dict(
+        help="condition/monotonicity roundtrip over the corpus",
+        run=_corpus, flags=(
+            ("seed", _count, None, "corpus sampling seed (hex accepted)"),
+            ("labels", _list(str), None, "comma-separated corpus labels to restrict to"),
+            ("pairs", _count, "8", "nested pairs per dimension"),
+            ("pair-seed", _count, "2024", "nested-pair seed"),
+            ("grid3", _count, _grid_default(3), "grid resolution for n=3 entries"),
+            ("grid4", _count, _grid_default(4), "grid resolution for n=4 entries"),
+            GRID_SEED,
+        ),
+        csv=lambda p: _rows(["label", "n", "i", "verdict", "worst_value", "tolerance",
+                             "empirical_violations", "counterexample", "drop", "threshold"],
+                            p["rows"])),
+}
+
+
+# -- runner ------------------------------------------------------------------------
+
+
+def _flags(cmd):
+    """A command's flags in help order; its own flag replaces a common one."""
+    flags = (COMMON if cmd.get("common") else ()) + FILES + cmd["flags"]
+    return {flag[0]: flag for flag in flags}.values()
 
 
 def build_parser():
@@ -922,100 +746,54 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"areafun {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, want_i=True, common=True):
-        p = sub.add_parser(name, help=help_)
-        if common:
-            _add_common(p, want_i=want_i)
-        p.add_argument("--config", help="key = value file presetting any long flag")
-        p.add_argument("--out", help="write the JSON summary here instead of stdout")
-        p.add_argument("--csv", help="write a CSV detail table here")
-        p.set_defaults(handler=handler)
-        return p
-
-    p = add("mi-check", cmd_mi_check, "decide the order-i eigenvalue-sum condition")
-    p.add_argument("--tol", help="override the verdict tolerance")
-    p.add_argument("--refine", help="local refinement around the worst node (default true)")
-
-    p = add("mono-test", cmd_mono_test, "empirical monotonicity on random nested pairs")
-    p.add_argument("--pairs", help="number of nested pairs (default 12)")
-    p.add_argument("--seed", help="pair-sampling seed")
-    p.add_argument("--tol-factor", dest="tol_factor", help="violation threshold factor")
-
-    p = add("mono-hunt", cmd_mono_hunt, "construct a monotonicity counterexample")
-    p.add_argument("--kappas", help="bump concentrations to sweep")
-    p.add_argument("--delta-regs", dest="delta_regs", help="regularisations to sweep")
-
-    p = add("bm-test", cmd_bm_test, "power-concavity along a Minkowski segment")
-    p.add_argument("--K", help="left endpoint body (default ball:1)")
-    p.add_argument("--L", help="right endpoint body")
-    p.add_argument("--t", help="number of segment samples (default 21)")
-    p.add_argument("--tol-factor", dest="tol_factor", help="violation threshold factor")
-
-    p = add("bm2-test", cmd_bm2_test, "second-order power-concavity criterion")
-    p.add_argument("--body", help="base body (default ball:1)")
-    p.add_argument("--phi", help="perturbation spec (default poly:\"x1*x2\")")
-    p.add_argument("--form", help="second-variation form (quadratic/adjoint/gradient)")
-
-    p = add("bm-hunt", cmd_bm_hunt, "hunt a confirmed power-concavity violation")
-    p.add_argument("--rho", help="patch radii to sweep")
-    p.add_argument("--eps", help="oscillation wavelengths to sweep")
-    p.add_argument("--eta", help="wave smoothing fraction")
-
-    p = add("eval", cmd_eval, "evaluate the order-i functional on a body")
-    p.add_argument("--body", help="body spec (default ball:1)")
-
-    p = add("mollify", cmd_mollify, "rotation-average smoothing diagnostics", want_i=False)
-    p.add_argument("--i", help="also check order-i condition preservation")
-    p.add_argument("--k", help="kernel scales (default 4,8,16)")
-    p.add_argument("--samples", help="rotation samples per kernel (default 200)")
-    p.add_argument("--seed", help="rotation sampling seed")
-
-    p = add("ibp-check", cmd_ibp_check, "first-order exchange-symmetry residual")
-    p.add_argument("--phi", help="perturbation spec (default poly:\"x1^2 + x1*x2\")")
-    p.add_argument("--body", help="base body (default ball:1)")
-    p.add_argument("--factor", help="pass threshold in error-estimate units (default 5)")
-
-    p = add("cylinder-check", cmd_cylinder_check,
-            "cylinder splitting identity at n=3", common=False)
-    p.add_argument("--f", help="weight function spec (default const:1)")
-    p.add_argument("--K1", help="flat body: disc:r or ellipse:a,b (default disc:1)")
-    p.add_argument("--R", help="cylinder length (default 1)")
-    p.add_argument("--deltas", help="thickness sweep (default 0.05,0.02,0.01)")
-    p.add_argument("--L", help="also verify the segment-trading identity against this body")
-    p.add_argument("--tol", help="relative-residual tolerance (default 0.02)")
-    p.add_argument("--nz", help="polar resolution of the sphere grid (default 800)")
-    p.add_argument("--naz", help="azimuthal resolution (default 96)")
-
-    p = add("dimred", cmd_dimred, "scaled large-R limit onto the circle functional",
-            common=False)
-    p.add_argument("--f", help="weight function spec (default const:1)")
-    p.add_argument("--K1", help="flat body: disc:r or ellipse:a,b (default disc:1)")
-    p.add_argument("--R", help="cylinder lengths (default 2,8,32)")
-    p.add_argument("--deltas", help="thickness sweep (default 0.02,0.01)")
-    p.add_argument("--tol", help="corrected-error tolerance at the largest R (default 0.02)")
-    p.add_argument("--nz", help="polar resolution of the sphere grid (default 800)")
-    p.add_argument("--naz", help="azimuthal resolution (default 96)")
-
-    p = add("corpus", cmd_corpus, "condition/monotonicity roundtrip over the corpus",
-            common=False)
-    p.add_argument("--seed", help="corpus sampling seed (hex accepted)")
-    p.add_argument("--labels", help="comma-separated corpus labels to restrict to")
-    p.add_argument("--pairs", help="nested pairs per dimension (default 8)")
-    p.add_argument("--pair-seed", dest="pair_seed", help="nested-pair seed (default 2024)")
-    p.add_argument("--grid3", help="grid resolution for n=3 entries (default 8192)")
-    p.add_argument("--grid4", help="grid resolution for n=4 entries (default 65536)")
-    p.add_argument("--grid-seed", dest="grid_seed", help="seed for sampled grids")
-
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd["help"])
+        for flag, _, default, text in _flags(cmd):
+            if default is REQUIRED:
+                text += " (required)"
+            elif isinstance(default, str):
+                text += f" (default {default})"
+            p.add_argument("--" + flag, help=text)
     return parser
 
 
+def run_command(name, args, config):
+    """Resolve a command's flags, run it, write its JSON and CSV, and return
+    the exit code."""
+    cmd = COMMANDS[name]
+    st, s = Settings(args, config), argparse.Namespace()
+    for flag, cast, default, _ in _flags(cmd):
+        key = flag.replace("-", "_")
+        value = st.get(key, default(s.n) if callable(default) else default, cast)
+        if value is REQUIRED:
+            raise DomainError(f"--{flag} is required")
+        setattr(s, key, value)
+    c, head = None, {}
+    if cmd.get("common"):
+        if s.n < 2:
+            raise DomainError("ambient dimension must be at least 2")
+        if s.i is not None and not 1 <= s.i <= s.n - 1:
+            raise DomainError(f"order --i must satisfy 1 <= i <= {s.n - 1}")
+        grid = make_grid(s.n, s.grid, seed=s.grid_seed)
+        c = argparse.Namespace(f=parse_function(s.f, s.n), n=s.n, i=s.i, grid=grid)
+        head = _given(f=c.f, n=s.n, i=s.i, grid_id=grid.grid_id)
+    try:
+        payload, ok = cmd["run"](s, c)
+    except SearchError as exc:
+        if not cmd.get("hunt"):
+            raise
+        payload, ok, s.csv = {"found": False, "reason": str(exc)}, False, None
+    emit_json(name, {**head, **payload}, out=s.out)
+    if s.csv:
+        write_csv(s.csv, *cmd["csv"](payload))
+    return EXIT_OK if ok else EXIT_VIOLATION
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
-        return args.handler(args, config)
+        return run_command(args.command, args, config)
     except DomainError as exc:
         print(f"areafun {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

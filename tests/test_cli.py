@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from areafun.bodies import ellipsoid
 from areafun.cli import (
+    COMMANDS,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -291,6 +293,28 @@ class TestConfig:
         code, doc = run_cli(capsys, ["eval", "--config", str(cfg)])
         assert code == EXIT_USAGE and doc is None
 
+    def test_config_presets_out_and_csv(self, capsys, tmp_path):
+        out, det, cfg = tmp_path / "r.json", tmp_path / "r.csv", tmp_path / "cfg.txt"
+        cfg.write_text(f"f = const:1\ni = 1\ngrid = 512\nout = {out}\ncsv = {det}\n")
+        assert main(["eval", "--config", str(cfg)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["value"] == pytest.approx(8.0 * math.pi, rel=1e-9)
+        assert det.read_text().splitlines()[0] == "value,estimate"
+
+    def test_unknown_key_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("f = const:1\ni = 1\ngird = 64\n")
+        assert main(["eval", "--config", str(cfg)]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        with pytest.raises(DomainError) as exc:
+            load_config(str(cfg))
+        for text in (err, str(exc.value)):
+            assert "'gird'" in text and str(cfg) in text
+        # a key that is a flag of another subcommand is accepted
+        cfg.write_text("f = const:1\ni = 1\ngrid = 512\nlabels = const-1\n")
+        assert run_cli(capsys, ["eval", "--config", str(cfg)])[0] == EXIT_OK
+
 
 class TestCommands:
     def test_mi_check_verdicts_and_exit_codes(self, capsys):
@@ -497,6 +521,13 @@ class TestExitCodes:
              "--grid", "256"],
             ["cylinder-check", "--f", "const:1", "--tol", "-1"],
             ["dimred", "--f", "const:1", "--tol", "-1"],
+            # a list flag needs at least one value: an empty sweep tests nothing
+            ["cylinder-check", "--deltas", ","],
+            ["dimred", "--deltas", ","],
+            ["dimred", "--R", ","],
+            ["mono-hunt", "--f", "const:1", "--n", "3", "--i", "2", "--kappas", ",",
+             "--grid", "256"],
+            ["bm-hunt", "--f", "const:1", "--n", "3", "--i", "2", "--rho", ",", "--grid", "256"],
         ],
     )
     def test_non_finite_float_flags_exit_2(self, capsys, argv):
@@ -517,6 +548,11 @@ class TestExitCodes:
              "--seed", "-1", "--grid", "256"],
             ["eval", "--f", "const:1", "--n", "4", "--i", "1", "--grid-seed", "-2",
              "--grid", "256"],
+            # kernel scales are integers, and list flags are never empty
+            ["mollify", "--f", "const:1", "--n", "3", "--k", "4.5", "--samples", "100",
+             "--grid", "256"],
+            ["mollify", "--f", "const:1", "--n", "3", "--k", ",", "--grid", "256"],
+            ["corpus", "--labels", ","],
         ],
     )
     def test_negative_or_empty_integer_flags_exit_2(self, capsys, argv):
@@ -539,3 +575,150 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("areafun ")
+
+
+def _rendered(value):
+    """A resolved flag value as --help writes it."""
+    if isinstance(value, tuple):
+        return ",".join(map(_rendered, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name, cmd in COMMANDS.items()
+         for n in ((3, 4) if cmd.get("common") else (3,))],
+    )
+    def test_help_names_every_default(self, capsys, monkeypatch, name, n):
+        # n = 4 checks the defaults that depend on the dimension
+        common = COMMANDS[name].get("common")
+        given = ["--f", "const:1", "--i", "1", "--n", str(n)] if common else []
+        seen = {}
+
+        def spy(settings, common):
+            seen.update(vars(settings))
+            return {}, True
+
+        monkeypatch.setitem(COMMANDS[name], "run", spy)
+        assert main([name, *given]) == EXIT_OK
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        helps = dict(re.findall(r"--([\w-]+) [A-Z0-9_]+ (.*?)(?= --[\w-]+ [A-Z0-9_]+ |$)", text))
+        assert set(helps) == {key.replace("_", "-") for key in seen}
+        for key, value in seen.items():
+            flag = key.replace("_", "-")
+            if value is None or f"--{flag}" in given:
+                continue
+            shown = rf"\(default [^)]*(?<![\w.,:]){re.escape(_rendered(value))}(?![\w.,:])"
+            assert re.search(shown, helps[flag]), (flag, value, helps[flag])
+
+
+class TestSchema:
+    """Exit code, top-level JSON keys and CSV header of every subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, code, keys, header",
+        [
+            (
+                ["mi-check", "--f", "const:1", "--n", "3", "--i", "1", "--grid", "512"],
+                EXIT_OK,
+                ["report"],
+                "order,verdict,worst_value,tolerance,worst_node_1,worst_node_2,worst_node_3",
+            ),
+            (
+                ["mono-test", "--f", "const:1", "--n", "3", "--i", "1", "--pairs", "4",
+                 "--grid", "1024"],
+                EXIT_OK,
+                ["consistent", "report"],
+                "pair,drop,estimate,threshold,violation",
+            ),
+            (
+                ["mono-hunt", "--f", SADDLE, "--n", "3", "--i", "2", "--grid", "8192"],
+                EXIT_OK,
+                ["decisive", "found", "report"],
+                "order,kappa,s,drop,threshold,value_inner,value_outer",
+            ),
+            (  # a hunt that finds nothing writes no CSV
+                ["mono-hunt", "--f", "const:1", "--n", "3", "--i", "2", "--grid", "1024"],
+                EXIT_VIOLATION,
+                ["found", "reason"],
+                None,
+            ),
+            (
+                ["bm-test", "--f", "support:ellipsoid:1,2,3", "--n", "3", "--i", "2",
+                 "--K", "ball:1", "--L", "ellipsoid:1,1,4", "--t", "9", "--grid", "2048"],
+                EXIT_OK,
+                ["K", "L", "consistent_with_concavity", "report"],
+                "t,value,estimate",
+            ),
+            (
+                ["bm2-test", "--f", "const:1", "--n", "3", "--i", "2", "--grid", "2048"],
+                EXIT_OK,
+                ["body", "consistent_with_concavity", "phi", "report"],
+                "order,criterion,tolerance,functional,first,second",
+            ),
+            (
+                ["bm-hunt", "--f", SADDLE, "--n", "3", "--i", "2", "--grid", "8192"],
+                EXIT_OK,
+                ["confirmed", "found", "report"],
+                "order,rho,eps,s,criterion_value,criterion_tol,segment_gap",
+            ),
+            (
+                ["eval", "--f", "const:1", "--n", "3", "--i", "2", "--body", "ellipsoid:1,1,2",
+                 "--grid", "2048"],
+                EXIT_OK,
+                ["body", "estimate", "value"],
+                "value,estimate",
+            ),
+            (
+                ["mollify", "--f", "bump:0,0,1,40", "--n", "3", "--k", "4,8", "--samples", "120",
+                 "--grid", "1024", "--i", "1"],
+                EXIT_OK,
+                ["condition_preserved", "input_verdict", "k", "rows", "sup_distances_decreasing"],
+                "k,sup_distance,verdict,worst_value",
+            ),
+            (
+                ["ibp-check", "--f", 'poly:"x1^2"', "--n", "3", "--i", "2",
+                 "--body", "ellipsoid:1,1.3,0.8", "--grid", "8192"],
+                EXIT_OK,
+                ["body", "combined_estimate", "phi", "report", "residual", "within_tolerance"],
+                "lhs,rhs,residual,lhs_estimate,rhs_estimate",
+            ),
+            (
+                ["cylinder-check", "--K1", "disc:1", "--R", "1", "--L", "ball:1"],
+                EXIT_OK,
+                ["K1", "R", "f", "relative_residual", "report", "segment_identity",
+                 "segment_within_tolerance", "tol", "within_tolerance"],
+                "series,delta,value,estimate",
+            ),
+            (
+                ["dimred", "--R", "2,8,32"],
+                EXIT_OK,
+                ["K1", "f", "raw_errors_decay", "report", "tol", "within_tolerance"],
+                "R,scaled_value,corrected_value,raw_error,corrected_error",
+            ),
+            (
+                ["corpus", "--labels", "const-1,saddle3-0.45", "--pairs", "3", "--grid3", "4096"],
+                EXIT_OK,
+                ["all_clear", "entries", "rows", "summary"],
+                "label,n,i,verdict,worst_value,tolerance,empirical_violations,counterexample,"
+                "drop,threshold",
+            ),
+        ],
+    )
+    def test_keys_and_csv_header(self, tmp_path, argv, code, keys, header):
+        out, det = tmp_path / "r.json", tmp_path / "r.csv"
+        assert main([*argv, "--out", str(out), "--csv", str(det)]) == code
+        keys = ["command", "generated_at", "version", *keys]
+        if COMMANDS[argv[0]].get("common"):
+            keys += ["f", "grid_id", "i", "n"]
+        assert sorted(json.loads(out.read_text())) == sorted(keys)
+        if header is None:
+            assert not det.exists()
+        else:
+            assert det.read_text().splitlines()[0] == header
