@@ -197,10 +197,10 @@ def largest_certified_strength(body, phi, grid, margin=1e-6):
     """
     Qh = body.q_stack(grid)
 
-    def smallest(b):
-        return certified_minimum(Qh[b], sphere.q_batch(phi, grid.nodes[b], first=b.start), margin)
+    def smallest(b):  # a trailing row and no summed row
+        return [certified_minimum(Qh[b], sphere.q_batch(phi, grid.nodes[b], first=b.start), margin)]
 
-    return certified_strength(float(np.min(grid.node_values(smallest))))
+    return certified_strength(grid.walk_blocks(smallest, 0, least=True)[1])
 
 
 def certified_minimum(Qh, Qp, margin):

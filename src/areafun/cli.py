@@ -33,6 +33,7 @@ above 256, products of more than 100,000 term pairs or with integers beyond
 
 import argparse
 import ast
+import contextlib
 import csv
 import dataclasses
 import json
@@ -397,19 +398,29 @@ def _jsonable(obj):
     return obj
 
 
+@contextlib.contextmanager
+def _output(path, **kwargs):
+    """The file at path, open for writing; one that cannot be written is a usage error."""
+    try:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def emit_json(command, payload, out=None):
     doc = {"command": command, "version": __version__, **payload}
     doc["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _output(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:  # the csv module would write numpy's repr of a numpy float

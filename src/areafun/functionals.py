@@ -21,7 +21,9 @@ areafun.identities).
 
 Every integral over one body is a row of one node sweep (_sweep), which
 forms each block's pieces once for all its rows and caches no form stack;
-integrals over several bodies read the bodies' cached stacks.
+integrals over several bodies read the bodies' cached stacks.  Every
+integral sums each row one node block at a time, in node order, so the
+sweep holds no per-node array; product grids build their nodes per block.
 """
 
 from __future__ import annotations
@@ -219,9 +221,7 @@ def _sweep(f, body, phi, i, grid, rows, margin=None):
         vals = [_INTEGRANDS[r](k) for r in rows]
         return np.vstack(vals if margin is None else vals + [certified_minimum(k.Qh, k.Qp, margin)])
 
-    vals = grid.node_values(per_block, (count + (margin is not None),))
-    worst = None if margin is None else float(np.min(vals[-1]))
-    return grid.weighted_sum(vals[:count]), worst
+    return grid.walk_blocks(per_block, count, least=margin is not None)
 
 
 def _paired_row(f, body, phi, i, grid, row):

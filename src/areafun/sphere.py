@@ -440,6 +440,29 @@ def q_batch(f, U, frame_stack=None, first=0):
 # -- quadrature grids --------------------------------------------------------
 
 
+class BlockNodes:
+    """The nodes of a product grid, built on request from its axis rules:
+    nodes[s:e] and nodes[k] build only those nodes (build takes an index
+    array), and np.asarray(nodes) builds them all."""
+
+    def __init__(self, m, build):
+        self._m, self._build = m, build
+
+    def __len__(self):
+        return self._m
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self[key : (key + 1) or None][0]
+        if isinstance(key, slice):
+            r = range(self._m)[key]
+            return self._build(np.arange(r.start, r.stop, r.step))
+        return np.asarray(self)[key]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
+
+
 @dataclass(eq=False)
 class QuadratureGrid:
     """Nodes and positive weights for integration over S^{n-1}.
@@ -448,7 +471,9 @@ class QuadratureGrid:
     equal-weight families).  Each constructor hands the grid its
     half-resolution rule; ``coarse()`` builds it once, and ``paired()``
     reports |fine - coarse| as its error estimate, which callers
-    conventionally assert against 5x.
+    conventionally assert against 5x.  The product grids (cap_grid,
+    panel_grid) build a block's nodes only when ``nodes[b]`` asks for them
+    (BlockNodes).  Every integral sums each row one node block at a time.
 
     Grids hash by identity.  Their one cache holds Hessian-form stacks,
     weakly keyed by the function, so an entry is freed with either of them;
@@ -457,7 +482,7 @@ class QuadratureGrid:
     """
 
     n: int
-    nodes: np.ndarray
+    nodes: np.ndarray | BlockNodes
     weights: np.ndarray
     kind: str
     seed: int = 0
@@ -493,30 +518,38 @@ class QuadratureGrid:
             Q = self._q[f] = q_batch(f, self.nodes)
         return Q
 
-    def node_values(self, per_block, rows=()):
-        """Per-node values, shape (*rows, m), assembled one node block at a
-        time: per_block(b) gives the values at the nodes self.nodes[b]."""
-        out = np.empty(tuple(rows) + (len(self.nodes),))
-        for b in node_blocks(len(self.nodes)):
-            out[..., b] = per_block(b)
-        return out
+    def walk_blocks(self, per_block, rows, least=False):
+        """(sums, smallest) of the values (rows + least, len) that per_block(b)
+        gives at the nodes self.nodes[b], one block at a time: the first rows
+        rows summed as weighted_sum sums them and, if least, the least value
+        of the trailing row."""
+        sums, smallest = np.zeros(rows), math.inf
+        for b in node_blocks(len(self)):
+            vals = per_block(b)
+            sums += self._block_sums(vals[:rows], b)
+            if least:
+                smallest = np.minimum(smallest, np.min(vals[-1]))
+        return sums, float(smallest) if least else None
 
     def weighted_sum(self, vals):
-        """Quadrature sum over the node axis (the last) of per-node values,
-        one row at a time, so a row's sum does not depend on the rows beside
-        it.  Raises EvaluationError naming the first node where vals is not
-        finite.
-        """
-        vals = np.asarray(vals, dtype=float)
-        m = len(self.nodes)
-        if vals.shape[-1:] != (m,):
+        """Quadrature sum over the node axis (the last) of per-node values:
+        each row on its own, one node block at a time, as walk_blocks sums."""
+        vals = np.ascontiguousarray(vals, dtype=float)
+        if vals.shape[-1:] != (len(self),):
             raise DomainError("integrand must give one value per node")
+        rows = vals.reshape(-1, len(self))
+        out = sum(self._block_sums(rows[:, b], b) for b in node_blocks(len(self)))
+        return float(out[0]) if vals.ndim == 1 else out.reshape(vals.shape[:-1])
+
+    def _block_sums(self, vals, b):
+        """One dot product per row of the values at the nodes b with their
+        weights; raises EvaluationError naming the first non-finite node."""
         finite = np.isfinite(vals)
         if not finite.all():
-            bad = int(np.argmin(finite.reshape(-1, m).all(axis=0)))
-            raise EvaluationError(f"integrand not finite at node {bad}: u={self.nodes[bad]}")
-        out = np.array([row @ self.weights for row in vals.reshape(-1, m)])
-        return float(out[0]) if vals.ndim == 1 else out.reshape(vals.shape[:-1])
+            bad = int(np.argmin(finite.all(axis=0)))
+            u = self.nodes[b][bad]
+            raise EvaluationError(f"integrand not finite at node {b.start + bad}: u={u}")
+        return np.array([row @ self.weights[b] for row in vals])
 
     def paired(self, integral):
         """(I(grid), |I(grid) - I(coarse)|) for integral(g), a scalar or array:
@@ -547,6 +580,8 @@ def make_grid(n, resolution, seed=0):
     m = int(resolution)
     if m < 2:
         raise DomainError("make_grid: resolution must be >= 2")
+    if m * n > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"make_grid: {m} nodes in dimension {n} do not fit in an array")
     if n == 2:
         th = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         nodes = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -639,14 +674,16 @@ def cap_grid(u0, theta_max, radial, transverse, seed=0):
     tg = make_grid(n - 1, transverse, seed)
     B = tangent_frame(u0)  # (n, n-1): orthonormal basis of the hyperplane u0^perp
     omega = tg.nodes @ B.T  # (m, n) unit vectors orthogonal to u0
-    nodes = (
-        np.cos(theta)[:, None, None] * u0[None, None, :]
-        + np.sin(theta)[:, None, None] * omega[None, :, :]
-    ).reshape(-1, n)
+    cos, sin, mt = np.cos(theta), np.sin(theta), len(omega)
+
+    def build(k):  # node k is polar node k // mt at transverse node k % mt
+        j, t = np.divmod(k, mt)
+        return cos[j][:, None] * u0[None, :] + sin[j][:, None] * omega[t]
+
     weights = (w_theta[:, None] * tg.weights[None, :]).reshape(-1)
     return QuadratureGrid(
         n,
-        nodes,
+        BlockNodes(len(weights), build),
         weights,
         "cap",
         seed,
@@ -703,11 +740,22 @@ def panel_grid(u0, frame, breaks, order=6):
         axes.append(_composite_gauss_axis(br, order))
     if radius2 >= 1.0:
         raise DomainError("panel_grid: breakpoint box must fit inside the unit ball")
-    X = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1).reshape(-1, d)
-    W = np.stack(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=-1).reshape(-1, d)
-    h = np.sqrt(1.0 - np.einsum("ma,ma->m", X, X))
-    nodes = X @ E.T + h[:, None] * u0[None, :]
-    weights = np.prod(W, axis=1) / h
+    shape = tuple(len(x) for x, _ in axes)
+
+    def chart(k):  # node k's axis indices (C order), chart point x and height
+        idx = np.unravel_index(k, shape)
+        X = np.stack([x[j] for (x, _), j in zip(axes, idx)], axis=-1)
+        return idx, X, np.sqrt(1.0 - np.einsum("ma,ma->m", X, X))
+
+    def build(k):
+        _, X, h = chart(k)
+        return X @ E.T + h[:, None] * u0[None, :]
+
+    weights = np.empty(math.prod(shape))
+    for b in node_blocks(len(weights)):
+        idx, _, h = chart(np.arange(b.start, b.stop))
+        weights[b] = math.prod(w[j] for (_, w), j in zip(axes, idx)) / h
+    nodes = BlockNodes(len(weights), build)
     return QuadratureGrid(
         n, nodes, weights, "panel", 0, lambda: panel_grid(u0, E, breaks, max(1, order - 1))
     )

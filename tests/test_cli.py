@@ -553,11 +553,22 @@ class TestExitCodes:
              "--grid", "256"],
             ["mollify", "--f", "const:1", "--n", "3", "--k", ",", "--grid", "256"],
             ["corpus", "--labels", ","],
+            # sizes no array can hold, rejected before anything is allocated
+            ["eval", "--f", "const:1", "--i", "1", "--grid", "99999999999999999999999"],
+            ["eval", "--f", "const:1", "--i", "1", "--n", "99999999999999999999"],
         ],
     )
     def test_negative_or_empty_integer_flags_exit_2(self, capsys, argv):
         code, doc = run_cli(capsys, argv)
         assert code == EXIT_USAGE and doc is None
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, flag):
+        # exit 1 would mean a violation was found
+        path = tmp_path / "missing" / "x"
+        code = main(["eval", "--f", "const:1", "--i", "1", "--grid", "512", flag, str(path)])
+        assert code == EXIT_USAGE
+        assert f"cannot write {path}" in capsys.readouterr().err
 
     def test_argparse_rejections_exit_2(self):
         with pytest.raises(SystemExit) as exc:

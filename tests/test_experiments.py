@@ -36,7 +36,7 @@ from areafun.experiments import (
     theorem_roundtrip,
 )
 from areafun.functionals import _sweep, first_variation, functional_value, second_variation
-from areafun.sphere import constant, make_grid, polynomial, q_batch, tangent_frame
+from areafun.sphere import constant, make_grid, node_blocks, polynomial, q_batch, tangent_frame
 from areafun.symfun import contract2, elem_sym_batch
 
 E3 = np.eye(3)
@@ -267,7 +267,7 @@ def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
             return [elem_sym_batch(Q0[b] + (t * s) * Qp, i) - base for t in ts]
 
         fv = f.value(g.nodes)
-        rows = g.node_values(pencil, (len(ts),)) * fv
+        rows = np.hstack([np.vstack(pencil(b)) for b in node_blocks(len(g))]) * fv
         sums = [g.weighted_sum(rows)]
         for h in steps:
             sums.append(g.weighted_sum(rows[2 * h :] - 2.0 * rows[h:-h] + rows[: -2 * h]))
@@ -278,12 +278,12 @@ def _segment_probe_arrays(f, body, phi, i, s, ts, grid):
     return value[0], est[0], dict(zip(steps, value[1:])), dict(zip(steps, est[1:]))
 
 
-def _hunt_setting(f, i, eps):
+def _hunt_setting(f, i, eps, eta=0.25):
     """The hunt's body and oscillation at the saddle's worst node e1."""
     u = np.eye(f.n)[0]
     A, Qf, E = _violating_form(f, i, u, 1e-3)
     w, W = np.linalg.eigh(contract2(A, i, Qf))
-    return realize_q(A, u), oscillating_phi(u, E @ W[:, 0], 0.25, eps, f.n, eta=0.25)
+    return realize_q(A, u), oscillating_phi(u, E @ W[:, 0], 0.25, eps, f.n, eta=eta)
 
 
 class TestPatchSweep:
@@ -337,6 +337,26 @@ class TestPatchSweep:
             _sweep(
                 fs["weight"], SupportBody(fs["body"]), fs["phi"], 2, grid, _HUNT_ROWS, margin=1e-6
             )
+
+    def test_sweep_memory_follows_the_block(self, by_label):
+        # one hunt sweep with its panel grid built inside the traced region,
+        # on two grids four times apart: the peak grows with the node count
+        # by the stored weights (8 bytes a node), not by a node array or a
+        # (rows, m) array of values
+        f = by_label["saddle3-0.45"].f
+        peaks = {}
+        for eps in (0.002, 0.0005):
+            K, phi = _hunt_setting(f, 2, eps, eta=0.0)
+            tracemalloc.start()
+            try:
+                patch = _oscillation_panel_grid(phi)
+                _sweep(f, K, phi, 2, patch, _HUNT_ROWS, margin=1e-6)
+                peaks[len(patch)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (m1, p1), (m2, p2) = sorted(peaks.items())
+        assert (m1, m2) == (110_592, 440_640)
+        assert (p2 - p1) / (m2 - m1) <= 16.0, peaks
 
     def test_one_setting_holds_no_form_stack(self, by_label):
         # the n=4 benchmark setting: two sweeps and the segment arrays, and

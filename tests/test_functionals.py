@@ -223,16 +223,16 @@ class TestSegment:
 
 
 def count_walks(monkeypatch):
-    """The node counts of the grids that QuadratureGrid.node_values walks, in
+    """The node counts of the grids that QuadratureGrid.walk_blocks walks, in
     call order, from here on."""
     walks = []
-    walk = QuadratureGrid.node_values
+    walk = QuadratureGrid.walk_blocks
 
-    def counting(self, per_block, rows=()):
+    def counting(self, per_block, rows, least=False):
         walks.append(len(self))
-        return walk(self, per_block, rows)
+        return walk(self, per_block, rows, least)
 
-    monkeypatch.setattr(QuadratureGrid, "node_values", counting)
+    monkeypatch.setattr(QuadratureGrid, "walk_blocks", counting)
     return walks
 
 
@@ -447,6 +447,44 @@ class TestSweep:
         ibp_symmetry_residual(f, phi, ellipsoid([1.0, 1.3, 0.9]), 2, grid)
         levels = [grid, grid.coarse(), grid.coarse().coarse()]
         assert calls == [b.stop - b.start for g in levels for b in node_blocks(len(g))]
+
+    @pytest.mark.parametrize("kind, n", [("panel", 3), ("panel", 4), ("cap", 3), ("cap", 4)])
+    def test_streamed_sums_match_the_full_rows(self, monkeypatch, kind, n):
+        # each row, summed block by block as the sweep streams it, equals to
+        # the bit weighted_sum of that row built in full, and the least
+        # certified minimum is the least of the full trailing row
+        u0 = np.eye(n)[-1]
+        if kind == "panel":
+            br = np.linspace(-0.3, 0.3, 21 if n == 3 else 5)
+            grid = sphere.panel_grid(u0, sphere.tangent_frame(u0), [br] * (n - 1))
+        else:
+            grid = cap_grid(u0, 0.7, 40 if n == 3 else 20, 256 if n == 3 else 640)
+        f = sphere.polynomial(n, {(0,) * n: 1.0, (2,) + (0,) * (n - 1): 0.4})
+        K = ellipsoid(np.linspace(0.8, 1.4, n))
+        blocks, walk = [], QuadratureGrid.walk_blocks
+
+        def keeping(self, per_block, rows, least=False):
+            return walk(self, lambda b: blocks.append(np.array(per_block(b))) or blocks[-1], rows, least)
+
+        monkeypatch.setattr(QuadratureGrid, "walk_blocks", keeping)
+        rows = tuple(functionals._INTEGRANDS)
+        sums, worst = functionals._sweep(f, K, sphere.bump(n, u0, 10.0), 2, grid, rows, margin=1e-6)
+        full = np.hstack(blocks)
+        assert len(blocks) > 1 and full.shape == (len(rows) + 1 + 1, len(grid))
+        assert sums.tobytes() == grid.weighted_sum(full[:-1]).tobytes()
+        assert worst == np.min(full[-1])
+
+    def test_nonfinite_value_names_global_node(self):
+        grid = make_grid(3, sphere.NODE_BLOCK + 100)
+        bad = sphere.NODE_BLOCK + 37  # in the second block
+        vals = np.ones(len(grid))
+        vals[bad] = np.nan
+        for total in (
+            lambda: grid.weighted_sum(vals),
+            lambda: grid.walk_blocks(lambda b: vals[None, b], 1),
+        ):
+            with pytest.raises(EvaluationError, match=f"not finite at node {bad}: "):
+                total()
 
     def test_gradient_alone_asks_phi_for_order_one(self, grid3):
         # on its own the gradient form never asks phi for its Hessian

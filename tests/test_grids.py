@@ -14,10 +14,13 @@ from areafun.bodies import ball, ellipsoid
 from areafun.errors import DomainError
 from areafun.functionals import functional_difference
 from areafun.sphere import (
+    NODE_BLOCK,
+    _composite_gauss_axis,
     cap_grid,
     constant,
     latitude_grid,
     make_grid,
+    node_blocks,
     panel_grid,
     sphere_area,
     tangent_frame,
@@ -145,6 +148,71 @@ class TestGridProperties:
     def test_panels_of_one_size_share_nothing(self, args, half1, half2):
         if half1 != half2:
             assert_no_shared_entries(panel(*args, half=half1), panel(*args, half=half2))
+
+
+def _panel_reference(u0, E, breaks, order):
+    """Nodes and weights of panel_grid as built whole, from meshgrids."""
+    axes = [_composite_gauss_axis(np.unique(br), order) for br in breaks]
+    d = len(axes)
+    X = np.stack(np.meshgrid(*[a[0] for a in axes], indexing="ij"), axis=-1).reshape(-1, d)
+    W = np.stack(np.meshgrid(*[a[1] for a in axes], indexing="ij"), axis=-1).reshape(-1, d)
+    h = np.sqrt(1.0 - np.einsum("ma,ma->m", X, X))
+    return X @ E.T + h[:, None] * u0[None, :], np.prod(W, axis=1) / h
+
+
+def _cap_reference(u0, theta_max, radial, transverse):
+    """Nodes and weights of cap_grid as built whole, by broadcasting."""
+    n = len(u0)
+    x, wx = np.polynomial.legendre.leggauss(radial)
+    theta = 0.5 * theta_max * (x + 1.0)
+    w_theta = 0.5 * theta_max * wx * np.sin(theta) ** (n - 2)
+    tg = make_grid(n - 1, transverse)
+    omega = tg.nodes @ tangent_frame(u0).T
+    nodes = (
+        np.cos(theta)[:, None, None] * u0[None, None, :]
+        + np.sin(theta)[:, None, None] * omega[None, :, :]
+    ).reshape(-1, n)
+    return nodes, (w_theta[:, None] * tg.weights[None, :]).reshape(-1)
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockNodes:
+    """Product grids build each node block on request, bit for bit the
+    nodes and weights of the whole-grid construction."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_panel_blocks_match_the_whole_grid(self, n):
+        u0 = np.eye(n)[-1]
+        E = tangent_frame(u0)
+        rng = np.random.default_rng(n)
+        breaks = [np.sort(rng.uniform(-0.3, 0.3, size=21 if n == 3 else 6)) for _ in range(n - 1)]
+        for order in (6, 5):
+            g = panel_grid(u0, E, breaks, order)
+            nodes, weights = _panel_reference(u0, E, breaks, order)
+            self._check(g, nodes, weights)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cap_blocks_match_the_whole_grid(self, n):
+        u0 = np.ones(n) / math.sqrt(n)
+        radial, transverse = (160, 256) if n == 3 else (80, 640)
+        g = cap_grid(u0, 0.7, radial, transverse)
+        self._check(g, *_cap_reference(u0, 0.7, radial, transverse))
+        self._check(g.coarse(), *_cap_reference(u0, 0.7, radial // 2, transverse // 2))
+
+    @staticmethod
+    def _check(g, nodes, weights):
+        assert len(g) == len(g.nodes) == len(nodes) > NODE_BLOCK
+        assert _bit_equal(g.weights, weights)
+        for b in node_blocks(len(g)):
+            assert _bit_equal(g.nodes[b], nodes[b])
+        assert _bit_equal(np.asarray(g.nodes), nodes)
+        for k in (0, NODE_BLOCK + 3, -1):
+            assert _bit_equal(g.nodes[k], nodes[k])
+        np.testing.assert_array_equal(g.nodes[5:40:7], nodes[5:40:7])
+        np.testing.assert_array_equal(g.nodes[:, 0], nodes[:, 0])
 
 
 class TestDegenerateCoarse:

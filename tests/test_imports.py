@@ -63,14 +63,14 @@ BLOCK_KERNELS = {
 
 
 def node_walkers(source):
-    """(top-level definition, line) of every call of .node_values(...)."""
+    """(top-level definition, line) of every call of .walk_blocks(...)."""
     return sorted(
         (getattr(top, "name", None), node.lineno)
         for top in ast.parse(source).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "node_values"
+        and node.func.attr == "walk_blocks"
     )
 
 

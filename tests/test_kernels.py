@@ -274,7 +274,7 @@ class TestNodeBlocks:
         # what one block of nodes needs, not a multiple of the grid
         u0 = np.eye(4)[-1]
         phi = oscillating_phi(u0, np.eye(4)[0], 0.25, 0.08, 4, eta=0.25)
-        nodes = _oscillation_panel_grid(phi).nodes
+        nodes = np.asarray(_oscillation_panel_grid(phi).nodes)  # built before tracing
         assert len(nodes) >= 300_000
         sphere.q_batch(phi, nodes[:64])  # warm
         tracemalloc.start()
