@@ -7,12 +7,10 @@ when K has a C^2 boundary with everywhere positive curvature, and its
 eigenvalues are the principal radii of curvature at the boundary point with
 outer normal u.
 
-Hessian-form stacks are cached on the grid, keyed by the support function:
-the one cache, read by the integrals over several bodies and the whole-grid
-certifications (one-body integrals form their forms block by block).
-Densities are polynomials in the stack (see areafun.symfun);
-eigenvalues are solved from it, uncached, only where the spectrum is the
-question, and a pencil h + s phi is certified without forming its forms.
+Nothing is cached: the integrals form the forms per node block as they go,
+and q_stack forms a whole grid's on each call.  Densities are polynomials in
+the forms (areafun.symfun); eigenvalues are solved only where the spectrum is
+the question, and a pencil h + s phi is certified without forming its forms.
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ class SupportBody:
         return self.h.value(U)
 
     def q_stack(self, grid):
-        """Hessian forms at all grid nodes, (m, n-1, n-1); cached on the grid."""
-        return grid.q_stack(self.h)
+        """Hessian forms at all grid nodes, (m, n-1, n-1), formed on each call."""
+        return sphere.q_batch(self.h, grid.nodes)
 
     def q_eigs(self, grid):
-        """Eigenvalues of the cached Hessian forms, (m, n-1), ascending; not cached."""
+        """Eigenvalues of the Hessian forms at all grid nodes, (m, n-1), ascending."""
         return np.linalg.eigvalsh(self.q_stack(grid))
 
     def translate(self, v):
@@ -136,8 +134,7 @@ def certify_c2plus(body, grid, margin=1e-6):
     controlled by the modulus of continuity of the Hessian form, which is not
     estimated here.  Pair with fine grids (>= 8192 nodes in R^3) in anger.
     """
-    eigs = body.q_eigs(grid)
-    mins = eigs[:, 0]
+    mins = body.q_eigs(grid)[:, 0]
     k = int(np.argmin(mins))
     return Certificate(
         ok=bool(mins[k] >= margin),
@@ -186,23 +183,6 @@ def realize_q(A, u, label=None):
 # -- one-parameter support perturbations --------------------------------------
 
 
-def largest_certified_strength(body, phi, grid, margin=1e-6):
-    """Largest s with Q_h + s Q_phi >= margin at all grid nodes.
-
-    Nodewise the minimum eigenvalue is concave in s, so certifying the
-    endpoint certifies the segment [0, s]; and the endpoint is available in
-    closed form (certified_minimum), block by block, caching no forms of phi.
-    Returns 0 when the body itself fails the margin and inf when no node
-    limits s.
-    """
-    Qh = body.q_stack(grid)
-
-    def smallest(b):  # a trailing row and no summed row
-        return [certified_minimum(Qh[b], sphere.q_batch(phi, grid.nodes[b], first=b.start), margin)]
-
-    return certified_strength(grid.walk_blocks(smallest, 0, least=True)[1])
-
-
 def certified_minimum(Qh, Qp, margin):
     """Per node, the least eigenvalue of C = L^-1 Qp L^-T, L L^T = Qh - margin I:
     Qh + s Qp >= margin is a congruence away from I + s C >= 0.  All -inf
@@ -216,5 +196,7 @@ def certified_minimum(Qh, Qp, margin):
 
 
 def certified_strength(worst):
-    """The largest certified s given the least certified_minimum."""
+    """The largest s with Qh + s Qp >= margin at every node, from the least
+    certified_minimum over them (inf when no node limits s, 0 when Qh fails
+    the margin); the least eigenvalue is concave in s, so [0, s] certifies."""
     return math.inf if worst >= 0.0 else 1.0 / -worst

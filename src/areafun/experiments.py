@@ -22,15 +22,15 @@ from .bodies import (
     certified_strength,
     combine,
     ellipsoid,
-    largest_certified_strength,
     perturb,
     realize_q,
 )
 from .conditions import DEFAULT_TOL, EigenSumScan, check_mi
 from .errors import DomainError, SearchError
 from .functionals import (
+    _check_order,
+    _difference_table,
     _sweep,
-    functional_difference,
     functional_segment,
     functional_value,
     power_concavity,
@@ -499,31 +499,31 @@ def monotonicity_test(f, i, pairs, grid, tol_factor=10.0):
     estimate (plus a floor).  K inside L should give F(K) <= F(L) whenever
     the weight satisfies the order-i condition.  No pairs, no test: DomainError.
     """
+    return _monotonicity_report(f, i, _pair_table(pairs, grid), tol_factor)
+
+
+def _pair_table(pairs, grid):
+    """[(g, _difference_table(pairs, g))] for g = grid, grid.coarse()."""
     if not pairs:
         raise DomainError("monotonicity test needs at least one nested pair")
-    rows = []
-    violations = []
-    for idx, (K, L) in enumerate(pairs):
+    for K, L in pairs:
         check_nested(K, L, grid)
-        drop, est = functional_difference(f, K, L, i, grid)
-        threshold = tol_factor * est + 1e-9 * (1.0 + abs(drop))
-        row = {
-            "pair": idx,
-            "drop": drop,  # F(K) - F(L); positive means decrease under inclusion
-            "estimate": est,
-            "threshold": threshold,
-            "violation": bool(drop > threshold),
-        }
-        rows.append(row)
-        if row["violation"]:
-            violations.append(row)
-    return MonotonicityReport(
-        order=int(i),
-        checked=len(pairs),
-        violations=violations,
-        rows=rows,
-        tolerance_factor=float(tol_factor),
-    )
+    return [(g, _difference_table(pairs, g)) for g in (grid, grid.coarse())]
+
+
+def _monotonicity_report(f, i, table, tol_factor):
+    """monotonicity_test from the pairs' _pair_table: each drop F(K) - F(L)
+    (positive means a decrease under inclusion) and its estimate is the
+    pair's functional_difference, the weight evaluated once a grid level."""
+    _check_order(table[0][0].n, i)
+    fine, coarse = (g.weighted_sum(f.value(g.nodes) * diffs[:, i - 1]) for g, diffs in table)
+    rows = []
+    for idx, (value, rough) in enumerate(zip(fine, coarse)):
+        drop, est = float(value), float(abs(value - rough))
+        tol = tol_factor * est + 1e-9 * (1.0 + abs(drop))
+        rows.append(dict(pair=idx, drop=drop, estimate=est, threshold=tol, violation=drop > tol))
+    violations = [row for row in rows if row["violation"]]
+    return MonotonicityReport(int(i), len(rows), violations, rows, float(tol_factor))
 
 
 # -- constructive monotonicity counterexample ------------------------------------
@@ -671,9 +671,10 @@ def monotonicity_counterexample(
     bump's density change is a localized near-cancellation that global
     grids misintegrate.  Every drop F(K) - F(L) is then -sum_k I_k s^k, with
     estimate |sum_k (I_k - I_k^coarse) s^k| and a bound on the tail outside
-    the cap.  A bump with I_1 < 0 is certified once on the whole-sphere grid
-    (largest_certified_strength; curvature is concave along the pencil), and
-    the s_values up to that s_max are probed, largest first.
+    the cap.  A bump with I_1 < 0 is certified once on the whole-sphere grid,
+    by the margin row of one more node sweep (certified_strength; curvature
+    is concave along the pencil), and the s_values up to that s_max are
+    probed, largest first.
 
     The sweep keeps the best decisive candidate and stops early once its
     drop clears the decision threshold by margin_target; the first decisive
@@ -737,7 +738,7 @@ def monotonicity_counterexample(
             )
             if dF >= 0:
                 continue
-            s_max = largest_certified_strength(K, phi, grid)
+            s_max = certified_strength(_sweep(f, K, phi, i, grid, (), margin=1e-6)[1])
             diagnostics.append(
                 {"stage": "certify", "delta_reg": delta_reg, "kappa": kappa, "s_max": s_max}
             )
@@ -1116,13 +1117,15 @@ def theorem_roundtrip(
     counterexample_kwargs=None,
 ):
     """Decide the order-i condition for every corpus entry and test both
-    directions: empirical monotonicity where it holds, a constructive
+    directions: empirical monotonicity where it holds, read from one
+    _pair_table per dimension formed when first needed, and a constructive
     counterexample where it decisively fails.  Returns (rows, summary).
     """
     entries = corpus() if entries is None else entries
     grids = default_grids() if grids is None else grids
     counterexample_kwargs = counterexample_kwargs or {}
     pair_sets = {n: nested_pairs(n, pairs_per_dim, seed=seed + n) for n in grids}
+    tables = {}
     rows = []
     summary = {
         "checked": 0,
@@ -1149,7 +1152,9 @@ def theorem_roundtrip(
             summary["checked"] += 1
             summary[rep.verdict] += 1
             if rep.ok:
-                mono = monotonicity_test(entry.f, i, pair_sets[entry.n], grid)
+                if entry.n not in tables:
+                    tables[entry.n] = _pair_table(pair_sets[entry.n], grid)
+                mono = _monotonicity_report(entry.f, i, tables[entry.n], 10.0)
                 row["empirical_violations"] = len(mono.violations)
                 summary["empirical_violations"] += len(mono.violations)
             elif rep.worst_value < -10.0 * DEFAULT_TOL:

@@ -20,10 +20,10 @@ agreement of the forms is itself a strong correctness check (see
 areafun.identities).
 
 Every integral over one body is a row of one node sweep (_sweep), which
-forms each block's pieces once for all its rows and caches no form stack;
-integrals over several bodies read the bodies' cached stacks.  Every
-integral sums each row one node block at a time, in node order, so the
-sweep holds no per-node array; product grids build their nodes per block.
+forms each block's pieces once for all its rows; integrals over several
+bodies form each body's forms once per block.  Every integral sums each row
+one node block at a time, in node order, so no walk holds a per-node array
+or a form stack; product grids build their nodes per block.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .bodies import certified_minimum
 from .errors import DomainError
-from .sphere import combination, frames, q_batch, tangent_jet
+from .sphere import combination, frames, node_blocks, q_batch, tangent_jet
 from .symfun import (
     contract2_batch,
     cofactor_batch,
@@ -47,8 +47,7 @@ from .symfun import (
 
 def convention_factor(n, i):
     """elem-sym density = convention_factor * (ball-normalised mixed density)."""
-    if not (1 <= i <= n - 1):
-        raise DomainError(f"order must satisfy 1 <= i <= {n - 1}")
+    _check_order(n, i)
     return math.comb(n - 1, i)
 
 
@@ -76,12 +75,31 @@ def functional_difference(f, body_k, body_l, i, grid):
         raise DomainError("bodies and weight must share one dimension")
     _check_order(body_k.n, i)
 
-    def integral(g):
-        dens_k = elem_sym_batch(body_k.q_stack(g), i)
-        dens_l = elem_sym_batch(body_l.q_stack(g), i)
-        return g.weighted_sum(f.value(g.nodes) * (dens_k - dens_l))
+    def per_block(g, b):
+        U = g.nodes[b]
+        return f.value(U) * _density_differences([(body_k, body_l)], U, b.start)[0, i - 1 : i]
 
-    return grid.paired(integral)
+    return grid.paired(lambda g: float(g.walk_blocks(lambda b: per_block(g, b), 1)[0][0]))
+
+
+def _density_differences(pairs, U, first):
+    """e_i(Q_K) - e_i(Q_L), (len(pairs), n-1, len(U)), for each pair (K, L)
+    and order i = 1 .. n-1 at the node block U from node first on."""
+    E = frames(U)
+
+    def densities(body):
+        Q = q_batch(body.h, U, E, first)
+        return np.array([elem_sym_batch(Q, i) for i in range(1, body.n)])
+
+    return np.array([densities(K) - densities(L) for K, L in pairs])
+
+
+def _difference_table(pairs, grid):
+    """_density_differences at every node of grid, (len(pairs), n-1, m)."""
+    table = np.empty((len(pairs), grid.n - 1, len(grid)))
+    for b in node_blocks(len(grid)):
+        table[..., b] = _density_differences(pairs, grid.nodes[b], b.start)
+    return table
 
 
 def functional_segment(f, body_k, body_l, i, ts, grid):
@@ -117,7 +135,7 @@ def mixed_area_integral(f, bodies, grid):
         raise DomainError("all bodies and the weight must share one dimension")
     if len(bodies) != n - 1:
         raise DomainError(f"mixed integral needs exactly {n - 1} bodies, got {len(bodies)}")
-    return _mixed_integral(f.value, bodies, grid)
+    return _mixed_integral(f.value, bodies, grid)[:2]
 
 
 def mixed_volume_smooth(bodies, grid):
@@ -131,7 +149,7 @@ def mixed_volume_smooth(bodies, grid):
         raise DomainError(f"mixed volume needs exactly n={n} bodies, got {len(bodies)}")
     if any(b.n != n for b in bodies):
         raise DomainError("mixed volume: dimension mismatch")
-    v, e = _mixed_integral(bodies[0].support, bodies[1:], grid)
+    v, e, _ = _mixed_integral(bodies[0].support, bodies[1:], grid)
     return v / n, e / n
 
 
@@ -140,13 +158,20 @@ def volume(body, grid):
 
 
 def _mixed_integral(weight, bodies, grid):
-    """Paired int weight(u) * D(Q_1, ..., Q_{n-1}) du over the bodies' cached stacks."""
+    """Paired int weight(u) * D(Q_1, ..., Q_{n-1}) du, each body's forms formed
+    once per node block, and each body's least form eigenvalue over the fine
+    grid's nodes: its curvature certificate, as certify_c2plus takes it."""
 
-    def integral(g):
-        stacks = [b.q_stack(g) for b in bodies]
-        return g.weighted_sum(weight(g.nodes) * mixed_discriminant_batch(stacks))
+    def per_block(g, b):
+        U = g.nodes[b]
+        E = frames(U)
+        stacks = [q_batch(body.h, U, E, first=b.start) for body in bodies]
+        least = [np.linalg.eigvalsh(Q)[:, 0] for Q in stacks] if g is grid else []
+        return np.vstack([weight(U) * mixed_discriminant_batch(stacks), *least])
 
-    return grid.paired(integral)
+    (value,), minima = grid.walk_blocks(lambda b: per_block(grid, b), 1, len(bodies))
+    (rough,), _ = grid.coarse().walk_blocks(lambda b: per_block(grid.coarse(), b), 1)
+    return float(value), float(abs(value - rough)), minima
 
 
 # -- the one-body node sweep ------------------------------------------------------
@@ -221,7 +246,8 @@ def _sweep(f, body, phi, i, grid, rows, margin=None):
         vals = [_INTEGRANDS[r](k) for r in rows]
         return np.vstack(vals if margin is None else vals + [certified_minimum(k.Qh, k.Qp, margin)])
 
-    return grid.walk_blocks(per_block, count, least=margin is not None)
+    sums, least = grid.walk_blocks(per_block, count, least=int(margin is not None))
+    return sums, float(least[0]) if len(least) else None
 
 
 def _paired_row(f, body, phi, i, grid, row):

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import SupportBody, certify_c2plus, combine, ellipsoid
+from .bodies import SupportBody, combine, ellipsoid
 from .errors import DomainError
-from .functionals import mixed_area_integral, mixed_volume_smooth
+from .functionals import _mixed_integral, mixed_area_integral, mixed_volume_smooth
 from .sphere import SphericalFunction, latitude_grid, make_grid
 
 E3_POLE = np.array([0.0, 0.0, 1.0])
@@ -175,14 +175,16 @@ def circle_grid(m=2048):
 # -- delta extrapolation -----------------------------------------------------------
 
 
-def _certified(body, grid, delta):
-    cert = certify_c2plus(body, grid)
-    if not cert.ok:
-        raise DomainError(
-            f"{body.label}: curvature certificate failed at thickness {delta:g} "
-            f"(min eigenvalue {cert.min_eig:.3e}); increase delta"
-        )
-    return body
+def _certified_integral(weight, bodies, grid, delta, margin=1e-6):
+    """_mixed_integral's (value, estimate) once its minima certify each body."""
+    value, est, minima = _mixed_integral(weight, bodies, grid)
+    for body, least in zip(bodies, minima):
+        if least < margin:
+            raise DomainError(
+                f"{body.label}: curvature certificate failed at thickness {delta:g} "
+                f"(min eigenvalue {least:.3e}); increase delta"
+            )
+    return value, est
 
 
 def _extrapolate(deltas, values):
@@ -252,9 +254,8 @@ def cylinder_lemma_residual(
 
     lhs_values, lhs_estimates = [], []
     for d in deltas:
-        body = _certified(K1.rethickened(d).body3d, grid, d)
-        cyl = _certified(cylinder(R, d).body3d, grid, d)
-        val, est = mixed_area_integral(f, [body, cyl], grid)
+        bodies = [K1.rethickened(d).body3d, cylinder(R, d).body3d]
+        val, est = _certified_integral(f.value, bodies, grid, d)
         lhs_values.append(val)
         lhs_estimates.append(est)
     extrapolated, spread = _extrapolate(deltas, lhs_values)
@@ -324,10 +325,8 @@ def segment_factor_identity(K1, L, deltas=(0.05, 0.02, 0.01), grid=None, circle=
 
     vals = []
     for d in deltas:
-        body = _certified(K1.rethickened(d).body3d, grid, d)
-        seg = _certified(needle(d), grid, d)
-        v, _ = mixed_volume_smooth([L, body, seg], grid)
-        vals.append(3.0 * v)
+        v, _ = _certified_integral(L.support, [K1.rethickened(d).body3d, needle(d)], grid, d)
+        vals.append(3.0 * (v / 3))  # 3 V(L, K1, needle), as mixed_volume_smooth rounds V
     extrapolated, spread = _extrapolate(deltas, vals)
     planar, _ = planar_mixed_volume(project_to_plane(L), K1.planar, circle)
     return SegmentFactorReport(
@@ -395,10 +394,8 @@ def dimension_reduction_limit(
     for R in R_list:
         vals = []
         for d in deltas:
-            body = _certified(K1.rethickened(d).body3d, grid, d)
-            cyl = _certified(cylinder(R, d).body3d, grid, d)
-            v, _ = mixed_area_integral(f, [body, cyl], grid)
-            vals.append(v)
+            bodies = [K1.rethickened(d).body3d, cylinder(R, d).body3d]
+            vals.append(_certified_integral(f.value, bodies, grid, d)[0])
         extrapolated, _ = _extrapolate(deltas, vals)
         scaled.append(extrapolated / R)
         corrected.append((extrapolated - pole_mass) / R)

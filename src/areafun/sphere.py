@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -54,7 +53,10 @@ def sphere_area(n):
     """Surface measure of S^{n-1} in R^n."""
     if n < 1:
         raise DomainError("ambient dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:
+        raise DomainError(f"ambient dimension {n} is too large: |S^{n - 1}| overflows") from None
 
 
 def _as_points(X, n):
@@ -475,10 +477,8 @@ class QuadratureGrid:
     panel_grid) build a block's nodes only when ``nodes[b]`` asks for them
     (BlockNodes).  Every integral sums each row one node block at a time.
 
-    Grids hash by identity.  Their one cache holds Hessian-form stacks,
-    weakly keyed by the function, so an entry is freed with either of them;
-    eigenvalues and every other per-node quantity are formed from it on
-    demand.  ``grid_id`` is a label for reports and never a cache key.
+    Grids hash by identity and cache no per-node quantity; ``grid_id`` is a
+    label for reports and never a cache key.
     """
 
     n: int
@@ -488,7 +488,6 @@ class QuadratureGrid:
     seed: int = 0
     coarse_rule: Callable[[], QuadratureGrid] | None = field(default=None, repr=False)
     _coarse: QuadratureGrid | None = field(default=None, init=False, repr=False)
-    _q: WeakKeyDictionary = field(default_factory=WeakKeyDictionary, init=False, repr=False)
 
     @property
     def grid_id(self):
@@ -511,25 +510,16 @@ class QuadratureGrid:
             self._coarse = cg
         return self._coarse
 
-    def q_stack(self, f):
-        """q_batch of f at every node, (m, n-1, n-1); cached per function."""
-        Q = self._q.get(f)
-        if Q is None:
-            Q = self._q[f] = q_batch(f, self.nodes)
-        return Q
-
-    def walk_blocks(self, per_block, rows, least=False):
+    def walk_blocks(self, per_block, rows, least=0):
         """(sums, smallest) of the values (rows + least, len) that per_block(b)
         gives at the nodes self.nodes[b], one block at a time: the first rows
-        rows summed as weighted_sum sums them and, if least, the least value
-        of the trailing row."""
-        sums, smallest = np.zeros(rows), math.inf
+        rows summed as weighted_sum sums them, and each trailing row's least."""
+        sums, smallest = np.zeros(rows), np.full(least, math.inf)
         for b in node_blocks(len(self)):
             vals = per_block(b)
             sums += self._block_sums(vals[:rows], b)
-            if least:
-                smallest = np.minimum(smallest, np.min(vals[-1]))
-        return sums, float(smallest) if least else None
+            smallest = np.minimum(smallest, np.min(vals[rows:], axis=1))
+        return sums, smallest
 
     def weighted_sum(self, vals):
         """Quadrature sum over the node axis (the last) of per-node values:

@@ -8,14 +8,15 @@ import pytest
 from areafun import sphere
 from areafun.bodies import (
     ball,
+    certified_strength,
     certify_c2plus,
     combine,
     ellipsoid,
-    largest_certified_strength,
     perturb,
     realize_q,
 )
 from areafun.errors import ConstructionError, DomainError
+from areafun.functionals import _sweep
 from areafun.sphere import make_grid, q_matrix
 
 RNG = np.random.default_rng(99)
@@ -100,11 +101,10 @@ class TestCertification:
         assert not cert.ok
         assert cert.min_eig < -0.5
 
-    def test_q_cache_reused(self, grid3):
+    def test_eigenvalues_are_those_of_the_stack(self):
+        g = make_grid(3, 256)
         K = ellipsoid([1.0, 2.0, 3.0])
-        s1 = K.q_stack(grid3)
-        s2 = K.q_stack(grid3)
-        assert s1 is s2
+        np.testing.assert_array_equal(K.q_eigs(g), np.linalg.eigvalsh(K.q_stack(g)))
 
 
 class TestRealizeQ:
@@ -137,6 +137,13 @@ class TestRealizeQ:
             realize_q(np.eye(3), np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DomainError):
             realize_q(np.eye(2), np.array([0.0, 0.0, 2.0]))
+
+
+def largest_certified_strength(body, phi, grid, margin=1e-6):
+    """certified_strength from the margin row of a node sweep with no summed
+    row, as the counterexample search certifies (weight and order unread)."""
+    sweep = _sweep(sphere.constant(body.n, 1.0), body, phi, 1, grid, (), margin=margin)
+    return certified_strength(sweep[1])
 
 
 class TestPerturbationFamily:

@@ -562,6 +562,13 @@ class TestExitCodes:
         code, doc = run_cli(capsys, argv)
         assert code == EXIT_USAGE and doc is None
 
+    def test_dimension_beyond_the_sphere_area_exits_2(self, capsys):
+        # Gamma(n/2) overflows from n = 344 on; exit 1 would mean a violation
+        code = main(["eval", "--f", "const:1", "--i", "1", "--n", "400", "--grid", "256"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and not out.strip()
+        assert "ambient dimension 400 is too large" in err
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_exits_2(self, capsys, tmp_path, flag):
         # exit 1 would mean a violation was found

@@ -14,7 +14,6 @@ from areafun.bodies import (
     ball,
     certified_strength,
     ellipsoid,
-    largest_certified_strength,
     realize_q,
 )
 from areafun.conditions import EigenSumScan, check_mi
@@ -192,9 +191,9 @@ class TestCounterexample:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return largest_certified_strength(*args, **kwargs)
+            return certified_strength(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "largest_certified_strength", counting)
+        monkeypatch.setattr(experiments, "certified_strength", counting)
         rep = monotonicity_counterexample(by_label["saddle3-0.45"].f, 2, grid3)
         stages = [d["stage"] for d in rep.diagnostics]
         assert stages.count("bump") == 1 and stages.count("certify") == 1
@@ -305,7 +304,7 @@ class TestPatchSweep:
         for k, (value, est) in enumerate(refs):
             assert fine[k] == pytest.approx(value, rel=1e-13, abs=0)
             assert abs(fine[k] - coarse[k]) == pytest.approx(est, rel=1e-13, abs=1e-300)
-        s_max = largest_certified_strength(K, phi, patch)
+        s_max = certified_strength(_sweep(f, K, phi, i, patch, (), margin=1e-6)[1])
         assert certified_strength(worst) == s_max and 0 < s_max < math.inf
         s, ts = 0.8 * min(s_max, 1.0), np.linspace(0.0, 1.0, 9)
         delta, _, d2, _ = _pencil_segment(fine[2:], coarse[2:], s, ts)
@@ -361,7 +360,7 @@ class TestPatchSweep:
     def test_one_setting_holds_no_form_stack(self, by_label):
         # the n=4 benchmark setting: two sweeps and the segment arrays, and
         # F and the first variation on the patch, stay below one (m, N, N)
-        # stack of the patch and leave its caches empty
+        # stack of the patch
         f = by_label["saddle4-0.55"].f
         K, phi = _hunt_setting(f, 3, 0.08)
         patch = _oscillation_panel_grid(phi)
@@ -380,8 +379,6 @@ class TestPatchSweep:
         finally:
             tracemalloc.stop()
         assert peak < m * N * N * 8, peak
-        for g in (patch, coarse):
-            assert len(g._q) == 0
 
 
 class TestRoundtrip:

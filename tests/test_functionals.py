@@ -1,6 +1,7 @@
 """Functional evaluation: closed forms, mixed-form bridges, variation oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def count_walks(monkeypatch):
     walks = []
     walk = QuadratureGrid.walk_blocks
 
-    def counting(self, per_block, rows, least=False):
+    def counting(self, per_block, rows, least=0):
         walks.append(len(self))
         return walk(self, per_block, rows, least)
 
@@ -257,6 +258,32 @@ class TestDifference:
         _, est_k = functional_value(f, K, 2, grid)
         assert diff < 0  # adding a ball strictly raises every density value
         assert est_diff < 0.1 * est_k + 1e-4
+
+
+class TestManyBodyWalks:
+    @pytest.mark.parametrize("call", ["difference", "mixed"])
+    def test_walk_holds_no_form_stack(self, call):
+        # an integral over two or three bodies on an n=4 panel grid of about
+        # 590 k nodes, built with its coarse grid before tracing, peaks below
+        # one (m, N, N) stack of forms: each body's forms live one node
+        # block at a time
+        u0 = np.eye(4)[-1]
+        grid = sphere.panel_grid(u0, sphere.tangent_frame(u0), [np.linspace(-0.3, 0.3, 15)] * 3)
+        grid.coarse()
+        m, N = len(grid), 3
+        assert m >= 500_000
+        f = sphere.polynomial(4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 0.4})
+        bodies = [ellipsoid([1.0, 1.2, 0.8, 1.1]), ball(4, 1.3), ellipsoid([0.9, 1.0, 1.4, 1.2])]
+        tracemalloc.start()
+        try:
+            if call == "difference":
+                functional_difference(f, bodies[0], bodies[1], 2, grid)
+            else:
+                mixed_area_integral(f, bodies, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * N * N * 8, peak
 
 
 def fd_derivatives(f, body, phi, i, grid, h=1e-4):
@@ -463,7 +490,7 @@ class TestSweep:
         K = ellipsoid(np.linspace(0.8, 1.4, n))
         blocks, walk = [], QuadratureGrid.walk_blocks
 
-        def keeping(self, per_block, rows, least=False):
+        def keeping(self, per_block, rows, least=0):
             return walk(self, lambda b: blocks.append(np.array(per_block(b))) or blocks[-1], rows, least)
 
         monkeypatch.setattr(QuadratureGrid, "walk_blocks", keeping)

@@ -1,9 +1,7 @@
-"""Grid invariants and identity-keyed caches, with property tests over every
-grid constructor."""
+"""Grid invariants, and value checks that equal-size grids never share a
+result, with property tests over every grid constructor."""
 
-import gc
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -52,9 +50,9 @@ def body_for(n):
 
 
 def assert_no_shared_entries(g1, g2):
-    """Bodies evaluated on g1 and then on g2 give on g2 what fresh bodies do.
-    functional_difference reads both bodies' cached stacks, on the grid and
-    on its coarse grid."""
+    """Bodies evaluated on g1 and then on g2 give on g2 what fresh bodies do,
+    on the grid and on its coarse grid: a value check that would catch any
+    result kept across grids of one size."""
     assert len(g1) == len(g2)
     f = constant(g1.n, 1.0)
     K, B = body_for(g1.n), ball(g1.n)
@@ -231,8 +229,8 @@ class TestDegenerateCoarse:
 class TestIdentityCaches:
     def test_equal_size_latitude_grids_do_not_collide(self):
         # both grids and both of their coarse grids have 800 nodes; the
-        # second must be served its own stacks, not the first grid's.  The
-        # difference against a ball of radius 1/2 (area pi) reads the cache.
+        # second must give its own value, not the first grid's (a ball of
+        # radius 1/2 has area pi)
         want = spheroid_area(1.0, 0.5) - math.pi
         one = constant(3, 1.0)
         K, B = ellipsoid([1.0, 1.0, 0.5]), ball(3, 0.5)
@@ -244,26 +242,3 @@ class TestIdentityCaches:
             )
             assert val == pytest.approx(want, rel=1e-6)
             assert (val, est) == (fresh_val, fresh_est)
-
-    def test_stacks_are_cached_per_function(self):
-        # the forms are the grid's one cache; eigenvalues are formed from them
-        g = make_grid(3, 256)
-        K = ellipsoid([1.0, 2.0, 3.0])
-        Q = K.q_stack(g)
-        assert Q is g.q_stack(K.h) and Q is K.q_stack(g)
-        np.testing.assert_array_equal(K.q_eigs(g), np.linalg.eigvalsh(Q))
-        L = ellipsoid([1.0, 2.0, 3.0])
-        assert L.q_stack(g) is not Q
-
-    def test_entries_are_freed_with_grid_or_function(self):
-        g = make_grid(3, 256)
-        K = ellipsoid([1.0, 2.0, 3.0])
-        by_body = weakref.ref(K.q_stack(g))
-        del K
-        gc.collect()
-        assert by_body() is None
-        K = ellipsoid([1.0, 2.0, 3.0])
-        by_grid = weakref.ref(K.q_stack(g))
-        del g
-        gc.collect()
-        assert by_grid() is None

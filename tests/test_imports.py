@@ -74,26 +74,29 @@ def node_walkers(source):
     )
 
 
+def imported_names(path):
+    """Every name an import statement of the module binds."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
 def test_one_node_sweep_for_every_one_body_integral():
-    # node blocks are walked only by functionals (its one sweep) and by the
-    # strength search, which reuses the body's whole-grid forms across calls
+    # node blocks are walked only by functionals: its one-body sweep, its
+    # walks over several bodies and its table of density differences
+    package = [path for path in MODULES if path.parent.name == "areafun"]
     walkers = {
         (path.stem, name)
-        for path in MODULES
-        if path.parent.name == "areafun"
+        for path in package
         for name, _ in node_walkers(path.read_text(encoding="utf-8"))
     }
-    assert {m for m, _ in walkers} == {"functionals", "bodies"}
-    assert {(m, name) for m, name in walkers if m == "bodies"} == {
-        ("bodies", "largest_certified_strength")
-    }
-    # and the drivers and the identity checks build no per-block integrand
-    for stem in ("experiments", "identities"):
-        tree = ast.parse((ROOT / "src" / "areafun" / f"{stem}.py").read_text(encoding="utf-8"))
-        bound = {
-            alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Import, ast.ImportFrom))
-            for alias in node.names
-        }
+    assert {m for m, _ in walkers} == {"functionals"}
+    assert {p.stem for p in package if "node_blocks" in imported_names(p)} == {"functionals"}
+    # and the drivers, the identity checks and the reduction build no
+    # per-block integrand
+    for stem in ("experiments", "identities", "reduction"):
+        bound = imported_names(ROOT / "src" / "areafun" / f"{stem}.py")
         assert not bound & BLOCK_KERNELS, (stem, bound & BLOCK_KERNELS)

@@ -21,7 +21,7 @@ from areafun.reduction import (
     reduction_grid,
     segment_factor_identity,
 )
-from areafun.sphere import constant, linear, polynomial, q_batch
+from areafun.sphere import constant, latitude_grid, linear, polynomial, q_batch
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,24 @@ class TestThickenedBodies:
             flattened_ellipse(-1.0, 1.0, 0.05)
         with pytest.raises(DomainError):
             cylinder(-2.0, 0.05)
+
+    @pytest.mark.parametrize("check", ["cylinder", "segment", "limit"])
+    def test_failed_certificate_names_body_and_thickness(self, check):
+        # a 150-wide disc at thickness 0.01 has least curvature radius
+        # 0.01^2/150 < 1e-6 at its rim; the thicker sweeps certify
+        wide, f = flattened_ellipse(150.0, 150.0, 0.05), constant(3, 1.0)
+        grids = dict(grid=latitude_grid(40, 24), circle=circle_grid(256))
+        run = {
+            "cylinder": lambda: cylinder_lemma_residual(f, wide, 1.0, **grids),
+            "segment": lambda: segment_factor_identity(wide, ball(3), **grids),
+            "limit": lambda: dimension_reduction_limit(f, wide, deltas=(0.02, 0.01), **grids),
+        }[check]
+        with pytest.raises(
+            DomainError,
+            match=r"^flat\(150,150;0\.01\): curvature certificate failed at thickness 0\.01 "
+            r"\(min eigenvalue 6\.\d{3}e-07\); increase delta$",
+        ):
+            run()
 
 
 class TestCylinderSplit:
