@@ -24,6 +24,9 @@ from .errors import ConstructionError, DomainError
 from . import sphere
 from .sphere import SphericalFunction, tangent_frame
 
+# least principal radius of curvature a certificate accepts
+MARGIN = 1e-6
+
 
 class SupportBody:
     """Convex body given by a support function (a SphericalFunction)."""
@@ -127,7 +130,7 @@ class Certificate:
         return self.ok
 
 
-def certify_c2plus(body, grid, margin=1e-6):
+def certify_c2plus(body, grid, margin=MARGIN):
     """Check lambda_min(q_matrix(h,u)) >= margin at every grid node.
 
     A grid certificate, not a proof: between nodes the minimum eigenvalue is

@@ -339,9 +339,6 @@ class Settings:
         except ValueError as exc:
             raise DomainError(f"bad value for --{key.replace('_', '-')}: {exc}")
 
-    def get_int(self, key, default=None):
-        return self.get(key, default, _count)
-
 
 def _amount(text, parse=float):
     # every float flag is a tolerance, factor, radius, width or scale, and

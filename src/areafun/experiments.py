@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (
+    MARGIN,
     SupportBody,
     ball,
     certified_strength,
@@ -439,8 +440,9 @@ def corpus(seed=CORPUS_SEED):
     return entries
 
 
-def default_grids(res3=8192, res4=65536, seed4=1):
-    return {3: make_grid(3, res3), 4: make_grid(4, res4, seed=seed4)}
+def default_grids():
+    """The standard grids: spiral of 8192 nodes (n = 3), Monte Carlo of 65,536, seed 1 (n = 4)."""
+    return {3: make_grid(3, 8192), 4: make_grid(4, 65536, seed=1)}
 
 
 # -- nested pairs and empirical monotonicity -------------------------------------
@@ -469,11 +471,11 @@ def nested_pairs(n, count, seed=0):
     return pairs
 
 
-def check_nested(K, L, grid, slack=1e-12):
-    """Grid check of h_K <= h_L; raises DomainError on failure."""
+def check_nested(K, L, grid):
+    """Grid check of h_K <= h_L up to 1e-12; raises DomainError on failure."""
     gap = L.support(grid.nodes) - K.support(grid.nodes)
     worst = float(np.min(gap))
-    if worst < -slack:
+    if worst < -1e-12:
         raise DomainError(f"pair is not nested: support gap reaches {worst:.3e}")
     return worst
 
@@ -626,33 +628,32 @@ def _bump_tail_bound(n, i, kappa, s, theta_max, fmax, qmax):
     return sphere_area(n) * fmax * N * math.comb(N - 1, i - 1) * lam ** (i - 1) * s * p
 
 
-def _decisive_violation(f, i, grid, tol=None, report=None):
+# the regularizations delta_reg the searches sweep, smallest first
+DELTA_REGS = (1e-3, 0.03, 0.1)
+
+
+def _decisive(rep):
+    """Whether a check_mi report is violated decisively enough to search:
+    worst value below -10 DEFAULT_TOL."""
+    return rep.verdict == "violated" and rep.worst_value < -10.0 * DEFAULT_TOL
+
+
+def _decisive_violation(f, i, grid, report=None):
     """The check_mi report of f at order i on grid (report, if the caller
-    holds it), which the searches need decisively violated: worst value below
-    -10 tol.  Raises SearchError otherwise."""
-    tol = DEFAULT_TOL if tol is None else float(tol)
+    holds it), which the searches need _decisive; raises SearchError otherwise."""
     rep = check_mi(f, i, grid) if report is None else report
     if (rep.order, rep.grid_id) != (i, grid.grid_id):
         raise DomainError(f"report is for order {rep.order} on {rep.grid_id}, not {i}")
-    if not (rep.verdict == "violated" and rep.worst_value < -10.0 * tol):
+    if not _decisive(rep):
         raise SearchError(
             f"precondition: order-{i} condition not decisively violated for {f.label} "
-            f"(worst {rep.worst_value:.3e}, needs < {-10.0 * tol:.3e})"
+            f"(worst {rep.worst_value:.3e}, needs < {-10.0 * DEFAULT_TOL:.3e})"
         )
     return rep
 
 
 def monotonicity_counterexample(
-    f,
-    i,
-    grid,
-    tol=None,
-    kappas=(10.0, 30.0, 100.0, 300.0),
-    s_values=None,
-    delta_regs=(1e-3, 0.03, 0.1),
-    drop_factor=10.0,
-    margin_target=25.0,
-    report=None,
+    f, i, grid, kappas=(10.0, 30.0, 100.0, 300.0), delta_regs=DELTA_REGS, report=None
 ):
     """Construct nested bodies K inside L with F(K) > F(L).
 
@@ -672,23 +673,26 @@ def monotonicity_counterexample(
     grids misintegrate.  Every drop F(K) - F(L) is then -sum_k I_k s^k, with
     estimate |sum_k (I_k - I_k^coarse) s^k| and a bound on the tail outside
     the cap.  A bump with I_1 < 0 is certified once on the whole-sphere grid,
-    by the margin row of one more node sweep (certified_strength; curvature
-    is concave along the pencil), and the s_values up to that s_max are
-    probed, largest first.
+    by the margin row of one more node sweep (certified_strength at MARGIN;
+    curvature is concave along the pencil), and the strengths
+    geomspace(1e-5, 1e-1, 9) up to that s_max are probed, largest first.  A
+    probe is decisive when its drop exceeds 10 times its estimate plus the
+    tail bound and a 1e-9 relative floor.
 
     The sweep keeps the best decisive candidate and stops early once its
-    drop clears the decision threshold by margin_target; the first decisive
+    drop clears the decision threshold 25 times over; the first decisive
     hit often sits at the smallest regularization, where certification caps
     the strength and the margin with it.  Raises SearchError (with the sweep
-    diagnostics) if nothing is decisive.  A caller already holding the
-    check_mi report of f at order i on grid passes it as report.
+    diagnostics) if nothing is decisive, DomainError if a regularization is
+    not positive.  A caller already holding the check_mi report of f at
+    order i on grid, _decisive below -10 DEFAULT_TOL, passes it as report.
     """
-    rep = _decisive_violation(f, i, grid, tol, report)
+    if not all(d > 0 for d in delta_regs):
+        raise DomainError(f"regularizations must be positive, got {tuple(delta_regs)}")
+    rep = _decisive_violation(f, i, grid, report)
     u_star = rep.worst_node
 
-    if s_values is None:
-        s_values = np.geomspace(1e-5, 1e-1, 9)
-    s_values = np.sort(np.asarray(s_values, dtype=float))[::-1]
+    s_values = np.geomspace(1e-5, 1e-1, 9)[::-1]
     if i == 1:
         delta_regs = (1.0,)  # the form is the identity; no regularization role
 
@@ -738,7 +742,7 @@ def monotonicity_counterexample(
             )
             if dF >= 0:
                 continue
-            s_max = certified_strength(_sweep(f, K, phi, i, grid, (), margin=1e-6)[1])
+            s_max = certified_strength(_sweep(f, K, phi, i, grid, (), margin=MARGIN)[1])
             diagnostics.append(
                 {"stage": "certify", "delta_reg": delta_reg, "kappa": kappa, "s_max": s_max}
             )
@@ -746,7 +750,7 @@ def monotonicity_counterexample(
                 drop = -float(fine @ s**powers)
                 est = abs(float((fine - coarse) @ s**powers))
                 tail = _bump_tail_bound(f.n, i, kappa, s, theta_max, fmax, qmax) if cap else 0.0
-                threshold = drop_factor * est + tail + 1e-9 * (1.0 + abs(F_K))
+                threshold = 10.0 * est + tail + 1e-9 * (1.0 + abs(F_K))
                 diagnostics.append(
                     {
                         "stage": "probe",
@@ -776,10 +780,11 @@ def monotonicity_counterexample(
                     if best is None or candidate.drop / candidate.threshold > best.drop / best.threshold:
                         best = candidate
                     break  # smaller strengths only shrink this bump's drop
-            if best is not None and best.drop / best.threshold >= margin_target:
+            if best is not None and best.drop / best.threshold >= 25.0:
                 break
-        if best is not None and best.drop / best.threshold >= margin_target:
-            break
+        else:
+            continue
+        break  # the margin target is met: stop the whole sweep
     if best is not None:
         best.diagnostics = diagnostics
         return best
@@ -937,7 +942,7 @@ def _refine_breaks(breaks, width, max_panel):
     return np.concatenate(out)
 
 
-def _oscillation_panel_grid(phi, width_factor=1.02, order=6):
+def _oscillation_panel_grid(phi, order=6):
     """Panel grid aligned with the polynomial pieces of an oscillation.
 
     Along the oscillation axis the breakpoints are the wave's cap edges plus
@@ -952,7 +957,7 @@ def _oscillation_panel_grid(phi, width_factor=1.02, order=6):
     eps = phi.amplitude
     eta = phi.wave_smoothing
     n = len(phi.center)
-    width = width_factor * rho
+    width = 1.02 * rho
     knots = [-rho, -0.6 * rho, 0.6 * rho, rho, -width, width]
     k_max = int(math.ceil(width / eps)) + 1
     ks = np.arange(-k_max, k_max + 1, dtype=float)
@@ -962,17 +967,7 @@ def _oscillation_panel_grid(phi, width_factor=1.02, order=6):
     return panel_grid(phi.center, phi.frame, [ax1] + [trans] * (n - 2), order)
 
 
-def bm_violation_hunt(
-    f,
-    i,
-    grid,
-    rho_list=(0.25, 0.35),
-    eps_list=(0.02, 0.01),
-    eta=0.25,
-    delta_regs=(1e-3, 0.03, 0.1),
-    t_count=9,
-    tol=None,
-):
+def bm_violation_hunt(f, i, grid, rho_list=(0.25, 0.35), eps_list=(0.02, 0.01), eta=0.25):
     """Hunt for a certified body and perturbation violating power concavity.
 
     Strategy: where the order-i condition fails, realize a body K whose
@@ -990,18 +985,26 @@ def bm_violation_hunt(
     correlated difference integrals on a patch grid resolving the
     oscillation.  Each patch grid is walked once, in one node sweep of
     the adjoint first variation, the gradient-form second variation, the
-    pencil coefficients and, on the fine grid, the certified minimum, so the
-    certified strength s is computed with the criterion, not after it passes.
-    Returns a HuntReport either way; raises SearchError only when
-    the pointwise precondition fails.
+    pencil coefficients and, on the fine grid, the certified minimum at
+    MARGIN, so the certified strength s is computed with the criterion, not
+    after it passes.  Fixed schedule: DELTA_REGS, a precondition _decisive
+    below -10 DEFAULT_TOL, and 9 segment samples up to s = 0.8 s_max.  A patch
+    radius above oscillating_phi's limit 0.8/sqrt(n-1) is skipped with a
+    diagnostics row.  Returns a HuntReport either way; raises SearchError
+    only when the pointwise precondition fails, DomainError when every
+    radius is above the limit.
     """
     if i < 2:
         raise DomainError("order must be >= 2: order 1 has no concavity criterion")
-    u_star = _decisive_violation(f, i, grid, tol).worst_node
     n = f.n
-    diagnostics = []
+    limit = 0.8 / math.sqrt(n - 1)
+    radii = [rho for rho in rho_list if rho <= limit]
+    if not radii:
+        raise DomainError(f"every patch radius exceeds the limit {limit:.3f} for n={n}")
+    u_star = _decisive_violation(f, i, grid).worst_node
+    diagnostics = [{"stage": "radius", "rho": r, "limit": limit} for r in rho_list if r > limit]
 
-    for delta_reg in delta_regs:
+    for delta_reg in DELTA_REGS:
         A, Qf, E = _violating_form(f, i, u_star, delta_reg)
         K = realize_q(A, u_star, label=f"hunt[{f.label},i={i},d={delta_reg:g}]")
         m = contract2(A, i, Qf)
@@ -1019,14 +1022,12 @@ def bm_violation_hunt(
             diagnostics.append({"stage": "positivity", "delta_reg": delta_reg, "F": F})
             continue
 
-        for rho in rho_list:
-            if rho > 0.8 / math.sqrt(n - 1):
-                continue
+        for rho in radii:
             for eps in eps_list:
                 phi = oscillating_phi(u_star, v_amb, rho, eps, n, eta=eta)
                 patch = _oscillation_panel_grid(phi)
 
-                fine, worst = _sweep(f, K, phi, i, patch, _HUNT_ROWS, margin=1e-6)
+                fine, worst = _sweep(f, K, phi, i, patch, _HUNT_ROWS, margin=MARGIN)
                 coarse, _ = _sweep(f, K, phi, i, patch.coarse(), _HUNT_ROWS)
                 (dF, d2F), (edF, ed2F) = fine[:2].tolist(), np.abs(fine[:2] - coarse[:2]).tolist()
                 value, vtol = power_concavity(i, F, estF, dF, edF, d2F, ed2F)
@@ -1053,7 +1054,7 @@ def bm_violation_hunt(
                     )
                     continue
                 s = 0.8 * s_max
-                ts = np.linspace(0.0, 1.0, t_count)
+                ts = np.linspace(0.0, 1.0, 9)
                 delta, dests, d2_int, d2_est = _pencil_segment(fine[2:], coarse[2:], s, ts)
                 series = F + delta
                 if np.min(series) <= 0:
@@ -1109,21 +1110,12 @@ def bm_violation_hunt(
 # -- round trip over the corpus ---------------------------------------------------
 
 
-def theorem_roundtrip(
-    entries=None,
-    grids=None,
-    pairs_per_dim=8,
-    seed=2024,
-    counterexample_kwargs=None,
-):
+def theorem_roundtrip(entries, grids, pairs_per_dim=8, seed=2024):
     """Decide the order-i condition for every corpus entry and test both
     directions: empirical monotonicity where it holds, read from one
     _pair_table per dimension formed when first needed, and a constructive
-    counterexample where it decisively fails.  Returns (rows, summary).
+    counterexample where the violation is _decisive.  Returns (rows, summary).
     """
-    entries = corpus() if entries is None else entries
-    grids = default_grids() if grids is None else grids
-    counterexample_kwargs = counterexample_kwargs or {}
     pair_sets = {n: nested_pairs(n, pairs_per_dim, seed=seed + n) for n in grids}
     tables = {}
     rows = []
@@ -1157,11 +1149,10 @@ def theorem_roundtrip(
                 mono = _monotonicity_report(entry.f, i, tables[entry.n], 10.0)
                 row["empirical_violations"] = len(mono.violations)
                 summary["empirical_violations"] += len(mono.violations)
-            elif rep.worst_value < -10.0 * DEFAULT_TOL:
+            elif _decisive(rep):
                 try:
-                    cex = monotonicity_counterexample(
-                        entry.f, i, grid, report=rep, **counterexample_kwargs
-                    )
+                    # by module name: a wrapper bound to it sees every report
+                    cex = monotonicity_counterexample(entry.f, i, grid, report=rep)
                     row["counterexample"] = True
                     row["drop"] = cex.drop
                     row["threshold"] = cex.threshold

@@ -38,9 +38,9 @@ class IbpReport:
     def combined_estimate(self):
         return self.lhs_estimate + self.rhs_estimate
 
-    def within(self, factor=5.0, floor=1e-9):
+    def within(self, factor=5.0):
         scale = 1.0 + max(abs(self.lhs), abs(self.rhs))
-        return self.residual <= factor * self.combined_estimate + floor * scale
+        return self.residual <= factor * self.combined_estimate + 1e-9 * scale
 
 
 def _two_step(integral, grid):

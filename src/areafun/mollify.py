@@ -160,7 +160,7 @@ def mollify(f, k, samples=200, seed=0, kernel=None):
     return RotationAverage(f, kernel)
 
 
-def mollify_preserves_monotone(f, i, k, grid, samples=200, seed=0, tol=None):
+def mollify_preserves_monotone(f, i, k, grid, samples=200, seed=0):
     """Check the order-i condition on the mollified function.
 
     The per-point condition is linear in the Hessian form and the form of a
@@ -169,7 +169,7 @@ def mollify_preserves_monotone(f, i, k, grid, samples=200, seed=0, tol=None):
     satisfied verdict to violated.
     """
     fk = mollify(f, k, samples=samples, seed=seed)
-    return check_mi(fk, i, grid, tol=tol)
+    return check_mi(fk, i, grid)
 
 
 def sup_distance(f, g, grid):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import SupportBody, combine, ellipsoid
+from .bodies import MARGIN, SupportBody, combine, ellipsoid
 from .errors import DomainError
 from .functionals import _mixed_integral, mixed_area_integral, mixed_volume_smooth
 from .sphere import SphericalFunction, latitude_grid, make_grid
@@ -175,11 +175,11 @@ def circle_grid(m=2048):
 # -- delta extrapolation -----------------------------------------------------------
 
 
-def _certified_integral(weight, bodies, grid, delta, margin=1e-6):
+def _certified_integral(weight, bodies, grid, delta):
     """_mixed_integral's (value, estimate) once its minima certify each body."""
     value, est, minima = _mixed_integral(weight, bodies, grid)
     for body, least in zip(bodies, minima):
-        if least < margin:
+        if least < MARGIN:
             raise DomainError(
                 f"{body.label}: curvature certificate failed at thickness {delta:g} "
                 f"(min eigenvalue {least:.3e}); increase delta"

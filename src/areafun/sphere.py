@@ -158,20 +158,20 @@ class SphericalFunction:
 
     # -- diagnostics --------------------------------------------------------
 
-    def homogeneity_residual(self, samples=64, seed=0):
-        """max |fbar(t x) - t fbar(x)| / (1 + |fbar(x)|) over random probes."""
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(samples, self.n))
+    def homogeneity_residual(self):
+        """max |fbar(t x) - t fbar(x)| / (1 + |fbar(x)|) over 64 seeded random probes."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(64, self.n))
         X /= np.linalg.norm(X, axis=1)[:, None]
-        t = rng.uniform(0.5, 2.0, size=samples)
+        t = rng.uniform(0.5, 2.0, size=64)
         f1 = self.extension_value(X * t[:, None])
         f0 = self.extension_value(X)
         return float(np.max(np.abs(f1 - t * f0) / (1.0 + np.abs(f0))))
 
-    def radial_residual(self, samples=64, seed=0):
-        """max |Hess(fbar)(u) u| over random unit probes (should vanish)."""
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(samples, self.n))
+    def radial_residual(self):
+        """max |Hess(fbar)(u) u| over 64 seeded random unit probes (should vanish)."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(64, self.n))
         X /= np.linalg.norm(X, axis=1)[:, None]
         H = self.extension_hessian(X)
         return float(np.max(np.abs(np.einsum("mij,mj->mi", H, X))))
@@ -631,7 +631,7 @@ def latitude_grid(nz, naz):
     )
 
 
-def cap_grid(u0, theta_max, radial, transverse, seed=0):
+def cap_grid(u0, theta_max, radial, transverse):
     """Geodesic-polar product grid on the cap {angle(u, u0) <= theta_max}.
 
     Gauss-Legendre nodes in the polar angle (weighted by sin^{n-2}) times a
@@ -661,7 +661,7 @@ def cap_grid(u0, theta_max, radial, transverse, seed=0):
     x, wx = np.polynomial.legendre.leggauss(radial)
     theta = 0.5 * theta_max * (x + 1.0)
     w_theta = 0.5 * theta_max * wx * np.sin(theta) ** (n - 2)
-    tg = make_grid(n - 1, transverse, seed)
+    tg = make_grid(n - 1, transverse)
     B = tangent_frame(u0)  # (n, n-1): orthonormal basis of the hyperplane u0^perp
     omega = tg.nodes @ B.T  # (m, n) unit vectors orthogonal to u0
     cos, sin, mt = np.cos(theta), np.sin(theta), len(omega)
@@ -676,8 +676,8 @@ def cap_grid(u0, theta_max, radial, transverse, seed=0):
         BlockNodes(len(weights), build),
         weights,
         "cap",
-        seed,
-        lambda: cap_grid(u0, theta_max, max(2, radial // 2), max(2, transverse // 2), seed),
+        0,
+        lambda: cap_grid(u0, theta_max, max(2, radial // 2), max(2, transverse // 2)),
     )
 
 

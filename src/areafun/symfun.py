@@ -36,7 +36,7 @@ from .errors import DomainError
 MAX_DIM = 16
 
 
-def check_symmetric(A, tol=1e-10):
+def check_symmetric(A):
     """Validate and return a (copy of a) dense symmetric matrix."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -45,7 +45,7 @@ def check_symmetric(A, tol=1e-10):
     if N == 0 or N > MAX_DIM:
         raise DomainError(f"matrix dimension {N} outside supported range 1..{MAX_DIM}")
     scale = max(1.0, float(np.abs(A).max()))
-    if not np.all(np.abs(A - A.T) <= tol * scale):
+    if not np.all(np.abs(A - A.T) <= 1e-10 * scale):
         raise DomainError("matrix is not symmetric")
     return 0.5 * (A + A.T)
 

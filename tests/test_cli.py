@@ -18,6 +18,7 @@ from areafun.cli import (
     EXIT_USAGE,
     EXIT_VIOLATION,
     Settings,
+    _count,
     _parse_poly,
     load_config,
     main,
@@ -270,10 +271,10 @@ class TestConfig:
             pairs = None
 
         st = Settings(Args(), loaded)
-        assert st.get_int("grid") == 1024
-        assert st.get_int("seed") == 16
-        assert st.get_int("pairs", 3) == 7
-        assert st.get_int("missing", 3) == 3
+        assert st.get("grid", None, _count) == 1024
+        assert st.get("seed", None, _count) == 16
+        assert st.get("pairs", 3, _count) == 7
+        assert st.get("missing", 3, _count) == 3
 
     def test_bad_lines(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -561,6 +562,24 @@ class TestExitCodes:
     def test_negative_or_empty_integer_flags_exit_2(self, capsys, argv):
         code, doc = run_cli(capsys, argv)
         assert code == EXIT_USAGE and doc is None
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a zero regularization is bad input, not a numerical failure (exit 3)
+            (["mono-hunt", "--f", SADDLE, "--n", "3", "--i", "2", "--grid", "2048",
+              "--delta-regs", "0"], "regularizations must be positive"),
+            # a hunt whose every patch radius is out of range would try nothing
+            # and report nothing found (exit 1)
+            (["bm-hunt", "--f", SADDLE, "--n", "3", "--i", "2", "--grid", "2048",
+              "--rho", "0.9"], "every patch radius exceeds the limit 0.566 for n=3"),
+        ],
+    )
+    def test_search_settings_out_of_range_exit_2(self, capsys, argv, message):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and not out.strip()
+        assert message in err
 
     def test_dimension_beyond_the_sphere_area_exits_2(self, capsys):
         # Gamma(n/2) overflows from n = 344 on; exit 1 would mean a violation

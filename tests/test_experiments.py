@@ -34,7 +34,13 @@ from areafun.experiments import (
     oscillating_phi,
     theorem_roundtrip,
 )
-from areafun.functionals import _sweep, first_variation, functional_value, second_variation
+from areafun.functionals import (
+    _sweep,
+    first_variation,
+    functional_difference,
+    functional_value,
+    second_variation,
+)
 from areafun.sphere import constant, make_grid, node_blocks, polynomial, q_batch, tangent_frame
 from areafun.symfun import contract2, elem_sym_batch
 
@@ -90,6 +96,17 @@ class TestNestedPairs:
         assert rep.checked == 6
         assert rep.consistent
         assert all(row["drop"] <= row["threshold"] for row in rep.rows)
+
+    @pytest.mark.parametrize("label", ["poly2-1", "poly2-4d-1"])
+    def test_rows_are_functional_differences(self, by_label, grids, label):
+        # the table's rows equal each pair's functional_difference to the
+        # bit, at every order, on the spiral (n = 3) and Monte Carlo (n = 4) grids
+        f = by_label[label].f
+        grid, pairs = grids[f.n], nested_pairs(f.n, 3, seed=7)
+        for i in range(1, f.n):
+            rows = monotonicity_test(f, i, pairs, grid).rows
+            for row, (K, L) in zip(rows, pairs):
+                assert (row["drop"], row["estimate"]) == functional_difference(f, K, L, i, grid)
 
 
 class TestOscillation:
@@ -244,6 +261,16 @@ class TestViolationHunt:
         rep = bm_violation_hunt(f, 2, grid3)
         assert rep.found and rep.confirmed
 
+    def test_radii_above_the_limit(self, by_label, grid3):
+        # every radius too large: a usage error before the precondition scan
+        with pytest.raises(DomainError, match="exceeds the limit 0.566 for n=3"):
+            bm_violation_hunt(constant(3, 1.0), 2, grid3, rho_list=(0.9, 0.6))
+        # one radius too large: skipped, and the diagnostics say so
+        f = by_label["saddle3-0.45"].f
+        rep = bm_violation_hunt(f, 2, grid3, rho_list=(0.9, 0.25), eps_list=(0.02,))
+        assert rep.diagnostics[0] == {"stage": "radius", "rho": 0.9, "limit": 0.8 / math.sqrt(2)}
+        assert {d["rho"] for d in rep.diagnostics if d["stage"] == "criterion"} == {0.25}
+
     def test_precondition_and_order_guard(self, grid3):
         with pytest.raises(SearchError):
             bm_violation_hunt(constant(3, 1.0), 2, grid3)
@@ -396,3 +423,19 @@ class TestRoundtrip:
         saddle_row = next(r for r in rows if r["label"] == "saddle3-0.45" and r["i"] == 2)
         assert saddle_row["verdict"] == "violated"
         assert saddle_row["counterexample"] is True
+
+    def test_counterexamples_are_reached_by_module_name(self, entries, grid3, monkeypatch):
+        # a wrapper bound to experiments.monotonicity_counterexample sees every
+        # counterexample the roundtrip tries, with the report of its scan
+        program, calls = experiments.monotonicity_counterexample, []
+
+        def wrapper(f, i, grid, **kwargs):
+            calls.append((i, kwargs["report"]))
+            return program(f, i, grid, **kwargs)
+
+        monkeypatch.setattr(experiments, "monotonicity_counterexample", wrapper)
+        subset = [e for e in entries if e.label in {"const-1", "saddle3-0.45"}]
+        rows, _ = theorem_roundtrip(subset, {3: grid3}, pairs_per_dim=2)
+        tried = [(r["i"], r["worst_value"]) for r in rows if "counterexample" in r]
+        assert tried == [(i, rep.worst_value) for i, rep in calls] and len(tried) == 1
+        assert all((rep.order, rep.grid_id) == (i, grid3.grid_id) for i, rep in calls)
