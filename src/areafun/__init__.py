@@ -18,7 +18,6 @@ from .bodies import (
     certify_c2plus,
     combine,
     ellipsoid,
-    from_form,
     perturb,
 )
 from .conditions import (
@@ -58,7 +57,6 @@ from .functionals import (
     mixed_area_integral,
     mixed_volume_smooth,
     second_variation,
-    volume,
 )
 from .identities import (
     IbpReport,
@@ -73,7 +71,6 @@ from .mollify import (
     sup_distance,
 )
 from .reduction import (
-    CylinderApprox,
     FlattenedBody,
     cylinder,
     cylinder_lemma_residual,
@@ -98,7 +95,6 @@ from .sphere import (
 )
 from .symfun import (
     cofactor,
-    cofactor2,
     contract2,
     elem_sym,
     elem_sym_batch,

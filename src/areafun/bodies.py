@@ -59,15 +59,6 @@ class SupportBody:
         )
         return SupportBody(moved, label=f"{self.label}+t")
 
-    def scale(self, t):
-        t = float(t)
-        if t <= 0:
-            raise DomainError("scale factor must be positive")
-        return SupportBody(
-            sphere.combination([t], [self.h], label=f"{t:g}*{self.h.label}"),
-            label=f"{t:g}*{self.label}",
-        )
-
 
 def ball(n, radius=1.0, label=None):
     if radius <= 0:
@@ -89,11 +80,6 @@ def ellipsoid(semi_axes, label=None):
         raise DomainError("semi-axes must be finite with finite squares")
     f = sphere.quadratic_support(np.diag(squares), label="h_ellipsoid")
     return SupportBody(f, label=label or "E(" + ",".join(f"{x:g}" for x in a) + ")")
-
-
-def from_form(M, label=None):
-    """Ellipsoid with support function sqrt(u^T M u), M symmetric positive definite."""
-    return SupportBody(sphere.quadratic_support(M), label=label or "E(form)")
 
 
 def combine(coeffs, bodies, label=None):
@@ -179,8 +165,7 @@ def realize_q(A, u, label=None):
     F = E @ T
     M = (F * a) @ F.T + np.outer(u, u)
     M = 0.5 * (M + M.T)
-    body = from_form(M, label=label or "realized")
-    return body
+    return SupportBody(sphere.quadratic_support(M), label=label or "realized")
 
 
 # -- one-parameter support perturbations --------------------------------------

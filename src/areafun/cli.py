@@ -539,7 +539,7 @@ def _ibp_check(s, c):
 def _cylinder_check(s, c):
     K1, f = parse_flat(s.K1, max(s.deltas)), parse_function(s.f, 3)
     grid = reduction_grid(s.nz, s.naz)
-    circle = circle_grid()  # shared, so both checks reuse K1's planar stacks
+    circle = circle_grid()  # built once for both checks
     rep = cylinder_lemma_residual(f, K1, s.R, deltas=s.deltas, grid=grid, circle=circle)
     ok = rep.relative_residual <= s.tol
     payload = {"f": f, "K1": K1.planar, "R": s.R, "tol": s.tol, "report": rep}

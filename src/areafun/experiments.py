@@ -815,10 +815,6 @@ class SegmentProbe:
             return self.min_gap <= 0
         return self.chord_gap <= 0 and self.curvature_gap <= 0 and self.min_gap <= 0
 
-    @property
-    def violates_concavity(self):
-        return not self.consistent_with_concavity
-
 
 def bm_segment_test(f, i, body_k, body_l, grid, t_count=21, tol_factor=5.0):
     """Sample F along the Minkowski segment and test i-th-root concavity.

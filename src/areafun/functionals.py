@@ -153,10 +153,6 @@ def mixed_volume_smooth(bodies, grid):
     return v / n, e / n
 
 
-def volume(body, grid):
-    return mixed_volume_smooth([body] * body.n, grid)
-
-
 def _mixed_integral(weight, bodies, grid):
     """Paired int weight(u) * D(Q_1, ..., Q_{n-1}) du, each body's forms formed
     once per node block, and each body's least form eigenvalue over the fine
@@ -311,10 +307,6 @@ class ConcavityReport:
     @property
     def consistent_with_concavity(self):
         return self.value <= self.tolerance
-
-    @property
-    def violates_concavity(self):
-        return self.value > self.tolerance
 
 
 def power_concavity(i, F, eF, dF, edF, d2F, ed2F):

@@ -82,8 +82,7 @@ def needle(delta, half_length=0.5):
     return ellipsoid([delta, delta, half_length], label=f"needle({delta:g})")
 
 
-@dataclass
-class CylinderApprox:
+def cylinder(R, delta):
     """Unit disc plus R times a unit-length vertical segment, both thickened.
 
     The support function converges (delta -> 0) to
@@ -91,18 +90,10 @@ class CylinderApprox:
     R/2.  The symmetric segment is the translation-invariant stand-in for a
     one-sided unit segment, so mixed quantities agree with either choice.
     """
-
-    R: float
-    delta: float
-    body3d: SupportBody
-
-
-def cylinder(R, delta):
     if R <= 0:
         raise DomainError("cylinder length R must be positive")
     disc = flattened_ellipse(1.0, 1.0, delta).body3d
-    body = combine([1.0, float(R)], [disc, needle(delta)], label=f"cyl(R={R:g};{delta:g})")
-    return CylinderApprox(R=float(R), delta=float(delta), body3d=body)
+    return combine([1.0, float(R)], [disc, needle(delta)], label=f"cyl(R={R:g};{delta:g})")
 
 
 # -- equatorial restrictions and circle-side quantities ---------------------------
@@ -147,16 +138,6 @@ def abs_weight(f2, label=None):
     return SphericalFunction(f2.n, jet, label or f"|{f2.label}|")
 
 
-def circle_functional(f2, body2, grid2):
-    """integral of f2 against the circle curvature density h'' + h of body2."""
-    return mixed_area_integral(f2, [body2], grid2)
-
-
-def planar_mixed_volume(body_a2, body_b2, grid2):
-    """Two-dimensional mixed volume (1/2) * integral h_a (h_b'' + h_b)."""
-    return mixed_volume_smooth([body_a2, body_b2], grid2)
-
-
 def reduction_grid(nz=800, naz=96):
     """Polar-refined sphere grid for nearly flat bodies.
 
@@ -172,27 +153,58 @@ def circle_grid(m=2048):
     return make_grid(2, m)
 
 
+def _circle_side(f, K1, circle):
+    """f's equatorial restriction, its integral against the curvature density
+    of the planar K1, and the planar mixed volume of the unit disc with K1:
+    the mass of each polar point measure."""
+    f_eq = equator_restriction(f)
+    eq_integral, _ = mixed_area_integral(f_eq, [K1.planar], circle)
+    vol, _ = mixed_volume_smooth([ellipsoid([1.0, 1.0]), K1.planar], circle)
+    return f_eq, eq_integral, vol
+
+
 # -- delta extrapolation -----------------------------------------------------------
 
 
-def _certified_integral(weight, bodies, grid, delta):
-    """_mixed_integral's (value, estimate) once its minima certify each body."""
-    value, est, minima = _mixed_integral(weight, bodies, grid)
-    for body, least in zip(bodies, minima):
-        if least < MARGIN:
-            raise DomainError(
-                f"{body.label}: curvature certificate failed at thickness {delta:g} "
-                f"(min eigenvalue {least:.3e}); increase delta"
-            )
-    return value, est
+def _flat_inputs(K1, deltas, grid, circle):
+    """Check K1, order the thicknesses largest first and default the grids.
+
+    The extrapolation divides by differences of thicknesses, so it needs at
+    least two and no repeats; that is checked before any integral runs."""
+    if not isinstance(K1, FlattenedBody):
+        raise DomainError("K1 must be a FlattenedBody")
+    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
+    if len(set(deltas)) < max(len(deltas), 2):
+        raise DomainError(
+            f"delta extrapolation needs at least two distinct thicknesses, got {deltas}"
+        )
+    grid = reduction_grid() if grid is None else grid
+    circle = circle_grid() if circle is None else circle
+    return deltas, grid, circle
+
+
+def _thickened(weight, K1, partner, deltas, grid):
+    """(value, estimate) of the mixed integral of weight against K1 and
+    partner(d), both at thickness d, for each d, once the fine grid's least
+    form eigenvalues certify each body."""
+    out = []
+    for d in deltas:
+        bodies = [K1.rethickened(d).body3d, partner(d)]
+        value, est, minima = _mixed_integral(weight, bodies, grid)
+        for body, least in zip(bodies, minima):
+            if least < MARGIN:
+                raise DomainError(
+                    f"{body.label}: curvature certificate failed at thickness {d:g} "
+                    f"(min eigenvalue {least:.3e}); increase delta"
+                )
+        out.append((value, est))
+    return out
 
 
 def _extrapolate(deltas, values):
     """Linear extrapolation to delta = 0 from the last two thicknesses, plus
     the spread against the extrapolation from the first two as a stability
     measure."""
-    if len(deltas) < 2:
-        raise DomainError("delta extrapolation needs at least two thicknesses")
 
     def pair(d1, v1, d2, v2):
         return v2 + (v1 - v2) * (0.0 - d2) / (d1 - d2)
@@ -244,30 +256,20 @@ def cylinder_lemma_residual(
     """
     if f.n != 3:
         raise DomainError("the cylinder split is an ambient-dimension-3 statement")
-    if not isinstance(K1, FlattenedBody):
-        raise DomainError("K1 must be a FlattenedBody")
-    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
+    deltas, grid, circle = _flat_inputs(K1, deltas, grid, circle)
     if any(not 0.01 <= d <= 0.1 for d in deltas):
         raise DomainError("thickness sweep must stay within [0.01, 0.1]")
-    grid = reduction_grid() if grid is None else grid
-    circle = circle_grid() if circle is None else circle
 
-    lhs_values, lhs_estimates = [], []
-    for d in deltas:
-        bodies = [K1.rethickened(d).body3d, cylinder(R, d).body3d]
-        val, est = _certified_integral(f.value, bodies, grid, d)
-        lhs_values.append(val)
-        lhs_estimates.append(est)
+    lhs = _thickened(f.value, K1, lambda d: cylinder(R, d), deltas, grid)
+    lhs_values, lhs_estimates = (list(col) for col in zip(*lhs))
     extrapolated, spread = _extrapolate(deltas, lhs_values)
 
-    f_eq = equator_restriction(f)
-    eq_integral, _ = circle_functional(f_eq, K1.planar, circle)
+    f_eq, eq_integral, vol = _circle_side(f, K1, circle)
     equator_term = 0.5 * R * eq_integral
-    vol, _ = planar_mixed_volume(ellipsoid([1.0, 1.0]), K1.planar, circle)
     pole_term = vol * (f.value(E3_POLE) + f.value(-E3_POLE))
     rhs = equator_term + pole_term
 
-    eq_abs, _ = circle_functional(abs_weight(f_eq, label="|f||equator"), K1.planar, circle)
+    eq_abs, _ = mixed_area_integral(abs_weight(f_eq, label="|f||equator"), [K1.planar], circle)
     rhs_scale = max(
         0.5 * R * eq_abs + vol * (abs(f.value(E3_POLE)) + abs(f.value(-E3_POLE))),
         1e-12,
@@ -315,20 +317,15 @@ def segment_factor_identity(K1, L, deltas=(0.05, 0.02, 0.01), grid=None, circle=
     computed independently — the segment as a thickness-extrapolated needle,
     the planar side directly on the circle.
     """
-    if not isinstance(K1, FlattenedBody):
-        raise DomainError("K1 must be a FlattenedBody")
     if L.n != 3:
         raise DomainError("L must live in ambient dimension 3")
-    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
-    grid = reduction_grid() if grid is None else grid
-    circle = circle_grid() if circle is None else circle
+    deltas, grid, circle = _flat_inputs(K1, deltas, grid, circle)
 
-    vals = []
-    for d in deltas:
-        v, _ = _certified_integral(L.support, [K1.rethickened(d).body3d, needle(d)], grid, d)
-        vals.append(3.0 * (v / 3))  # 3 V(L, K1, needle), as mixed_volume_smooth rounds V
+    sweep = _thickened(L.support, K1, needle, deltas, grid)
+    # 3 V(L, K1, needle), as mixed_volume_smooth rounds V
+    vals = [3.0 * (v / 3) for v, _ in sweep]
     extrapolated, spread = _extrapolate(deltas, vals)
-    planar, _ = planar_mixed_volume(project_to_plane(L), K1.planar, circle)
+    planar, _ = mixed_volume_smooth([project_to_plane(L), K1.planar], circle)
     return SegmentFactorReport(
         deltas=deltas,
         ambient_values=vals,
@@ -371,32 +368,26 @@ def dimension_reduction_limit(
     curvature density.  The polar point masses are R-independent, so the raw
     scaled values approach the limit at rate 1/R exactly; removing the
     independently computed polar contribution exposes the limit at moderate R
-    already.  Both the raw decay and the corrected values are reported.
+    already.  Both the raw decay and the corrected values are reported, in
+    ascending order of R, which must not repeat.
     """
     if f.n != 3:
         raise DomainError("the reduction limit is an ambient-dimension-3 statement")
-    if not isinstance(K1, FlattenedBody):
-        raise DomainError("K1 must be a FlattenedBody")
-    R_list = tuple(float(R) for R in R_list)
+    deltas, grid, circle = _flat_inputs(K1, deltas, grid, circle)
+    R_list = tuple(sorted(float(R) for R in R_list))
     if any(R <= 0 for R in R_list):
         raise DomainError("cylinder lengths must be positive")
-    deltas = tuple(sorted((float(d) for d in deltas), reverse=True))
-    grid = reduction_grid() if grid is None else grid
-    circle = circle_grid() if circle is None else circle
+    if len(set(R_list)) < len(R_list):
+        raise DomainError(f"cylinder lengths must be distinct, got {R_list}")
 
-    f_eq = equator_restriction(f)
-    eq_integral, _ = circle_functional(f_eq, K1.planar, circle)
+    _, eq_integral, vol = _circle_side(f, K1, circle)
     circle_value = 0.5 * eq_integral
-    vol, _ = planar_mixed_volume(ellipsoid([1.0, 1.0]), K1.planar, circle)
     pole_mass = vol * (f.value(E3_POLE) + f.value(-E3_POLE))
 
     scaled, corrected = [], []
     for R in R_list:
-        vals = []
-        for d in deltas:
-            bodies = [K1.rethickened(d).body3d, cylinder(R, d).body3d]
-            vals.append(_certified_integral(f.value, bodies, grid, d)[0])
-        extrapolated, _ = _extrapolate(deltas, vals)
+        sweep = _thickened(f.value, K1, lambda d: cylinder(R, d), deltas, grid)
+        extrapolated, _ = _extrapolate(deltas, [v for v, _ in sweep])
         scaled.append(extrapolated / R)
         corrected.append((extrapolated - pole_mass) / R)
     scale = max(abs(circle_value), 1e-12)

@@ -2,9 +2,11 @@
 
 For a real symmetric N x N matrix A with eigenvalues lam_1 .. lam_N,
 ``elem_sym(A, i)`` is the i-th elementary symmetric function of the
-eigenvalues (1 for i=0, trace for i=1, det for i=N).  Derivatives with
-respect to the matrix entries give the cofactor matrix ``S_i^{jk}`` and the
-four-index tensor ``S_i^{jk,rs}``.
+eigenvalues (1 for i=0, trace for i=1, det for i=N).  The first derivative
+with respect to the matrix entries is the cofactor matrix ``S_i^{jk}``; the
+second derivative is used only contracted with a direction W,
+``contract2(A, i, W) = sum_{rs} S_i^{jk,rs} W_rs``, which never forms the
+four-index tensor.
 
 Derivative convention: mirror entries a_jk and a_kj are treated as one
 variable whose perturbation sets both, i.e. for symmetric E
@@ -16,15 +18,15 @@ geometric caller up to ambient dimension 4) the batch routines are closed-form
 polynomials in the entries: sums of principal minors for S_i, the Newton
 polynomial sum_k (-1)^k e_{i-1-k}(A) A^k for the cofactor, and its
 directional derivative for contract2.  Larger N go through one
-eigendecomposition.  A literal index-expansion evaluator and polarized mixed
-discriminants are kept as independent routes for cross-checks.
+eigendecomposition.  Mixed discriminants polarize the determinant, and a
+literal index-expansion evaluator is kept as the independent oracle for
+elem_sym.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -222,68 +224,6 @@ def trace_pair(A, M, i):
     if C.shape != M.shape:
         raise DomainError("trace_pair: dimension mismatch")
     return float(np.sum(C * M))
-
-
-@dataclass(frozen=True)
-class CofactorTensor2:
-    """Second derivative tensor T[j,k,r,s] = d^2 S_i / (d a_jk d a_rs).
-
-    Symmetric under j<->k, r<->s and under swapping the pairs (jk)<->(rs).
-    For i=1 the tensor is identically zero (S_1 is linear), which is returned
-    rather than raised so vanishing second variations come out as exact zeros.
-    """
-
-    dim: int
-    order: int
-    values: np.ndarray
-
-    def contract(self, W):
-        """sum_{rs} T[j,k,r,s] W_rs for symmetric W -> (N, N) matrix."""
-        W = check_symmetric(W)
-        if W.shape[0] != self.dim:
-            raise DomainError("contract: dimension mismatch")
-        return np.einsum("jkrs,rs->jk", self.values, W)
-
-    def symmetry_residual(self):
-        T = self.values
-        r1 = np.abs(T - T.transpose(1, 0, 2, 3)).max()
-        r2 = np.abs(T - T.transpose(0, 1, 3, 2)).max()
-        r3 = np.abs(T - T.transpose(2, 3, 0, 1)).max()
-        return max(r1, r2, r3)
-
-
-def _eigenbasis_tensor2(lam, i):
-    """Second-derivative tensor of S_i at a diagonal matrix diag(lam)."""
-    N = lam.shape[-1]
-    T = np.zeros((N, N, N, N))
-    if i < 2:
-        return T
-    pair = pair_deleted_elem_sym(lam, i - 2)
-    for j in range(N):
-        for l in range(N):
-            if j == l:
-                continue
-            s = pair[j, l]
-            T[j, j, l, l] = s
-            # one half per ordered occurrence keeps the full-square
-            # contraction convention consistent
-            T[j, l, j, l] = -0.5 * s
-            T[j, l, l, j] = -0.5 * s
-    return T
-
-
-def cofactor2(A, i):
-    """Second derivative tensor of S_i at A in the both-entries convention."""
-    A = check_symmetric(A)
-    N = A.shape[0]
-    if i < 1 or i > N:
-        raise DomainError(f"order i={i} outside 1..{N}")
-    if i == 1:
-        return CofactorTensor2(N, i, np.zeros((N, N, N, N)))
-    lam, V = np.linalg.eigh(A)
-    Tbar = _eigenbasis_tensor2(lam, i)
-    T = np.einsum("aj,bk,cr,ds,jkrs->abcd", V, V, V, V, Tbar, optimize=True)
-    return CofactorTensor2(N, i, T)
 
 
 def contract2(A, i, W):

@@ -70,7 +70,7 @@ class TestConstruction:
     def test_scale_scales_eigs(self, grid3):
         K = ellipsoid([1.0, 2.0, 1.5])
         np.testing.assert_allclose(
-            K.scale(3.0).q_eigs(grid3), 3.0 * K.q_eigs(grid3), atol=1e-9
+            combine([3.0], [K]).q_eigs(grid3), 3.0 * K.q_eigs(grid3), atol=1e-9
         )
 
 

@@ -581,6 +581,30 @@ class TestExitCodes:
         assert code == EXIT_USAGE and not out.strip()
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the delta extrapolation divides by thickness differences; a
+            # repeat is bad input, not a violation (exit 1)
+            ["cylinder-check", "--deltas", "0.05,0.05"],
+            ["dimred", "--deltas", "0.02,0.02", "--R", "2,8"],
+            ["dimred", "--R", "2,2"],
+        ],
+    )
+    def test_repeated_thicknesses_or_lengths_exit_2(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and not out.strip()
+        assert "must be distinct" in err or "two distinct thicknesses" in err
+
+    def test_dimred_verdict_ignores_length_order(self, capsys):
+        # the tolerance applies at the largest R and the decay runs up R,
+        # whatever order --R lists the lengths in
+        code, doc = run_cli(capsys, ["dimred", "--R", "32,8,2"])
+        assert code == EXIT_OK
+        assert doc["report"]["R_list"] == [2.0, 8.0, 32.0]
+        assert doc["raw_errors_decay"] is True and doc["within_tolerance"] is True
+
     def test_dimension_beyond_the_sphere_area_exits_2(self, capsys):
         # Gamma(n/2) overflows from n = 344 on; exit 1 would mean a violation
         code = main(["eval", "--f", "const:1", "--i", "1", "--n", "400", "--grid", "256"])

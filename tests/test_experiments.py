@@ -226,7 +226,6 @@ class TestSegmentProbes:
         )
         assert probe.form == "power"
         assert probe.consistent_with_concavity
-        assert not probe.violates_concavity
 
     def test_min_form_when_functional_not_positive(self, grid3):
         f = constant(3, -1.0)

@@ -22,7 +22,6 @@ from areafun.functionals import (
     mixed_area_integral,
     mixed_volume_smooth,
     second_variation,
-    volume,
 )
 from areafun.sphere import QuadratureGrid, cap_grid, make_grid, node_blocks
 from areafun.symfun import elem_sym_batch
@@ -130,11 +129,11 @@ class TestMixedForms:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
     def test_ball_volume(self, grid3):
-        v, e = volume(ball(3, 1.0), grid3)
+        v, e = mixed_volume_smooth([ball(3, 1.0)] * 3, grid3)
         assert v == pytest.approx(4 * math.pi / 3, rel=1e-10)
 
     def test_ellipsoid_volume(self, grid3):
-        v, e = volume(ellipsoid([1.0, 1.5, 0.8]), grid3)
+        v, e = mixed_volume_smooth([ellipsoid([1.0, 1.5, 0.8])] * 3, grid3)
         want = 4 * math.pi / 3 * 1.0 * 1.5 * 0.8
         assert abs(v - want) < 5 * e + 1e-9
         assert v == pytest.approx(want, rel=1e-5)
@@ -155,13 +154,13 @@ class TestMixedForms:
         # vol(K + tB) = sum_k binom(n,k) t^k V(K[n-k], B[k]); check at t=1, 2
         K = ellipsoid([1.0, 1.2, 0.9])
         B = ball(3)
-        vK, _ = volume(K, grid3)
+        vK, _ = mixed_volume_smooth([K] * 3, grid3)
         v1, _ = mixed_volume_smooth([K, K, B], grid3)
         v2, _ = mixed_volume_smooth([K, B, B], grid3)
         vB = 4 * math.pi / 3
         for t in (1.0, 2.0):
             Kt = combine([1.0, t], [K, B])
-            vt, et = volume(Kt, grid3)
+            vt, et = mixed_volume_smooth([Kt] * 3, grid3)
             want = vK + 3 * t * v1 + 3 * t * t * v2 + t**3 * vB
             assert vt == pytest.approx(want, rel=1e-6)
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from areafun import reduction
 from areafun.bodies import ball, ellipsoid
 from areafun.errors import DomainError
+from areafun.functionals import mixed_area_integral
 from areafun.reduction import (
     abs_weight,
-    circle_functional,
     circle_grid,
     cylinder,
     cylinder_lemma_residual,
@@ -55,11 +56,11 @@ class TestThickenedBodies:
     def test_cylinder_support_function(self):
         cyl = cylinder(4.0, 0.01)
         # equator: the disc part dominates, the needle contributes R*delta
-        assert cyl.body3d.support([1.0, 0.0, 0.0]) == pytest.approx(
+        assert cyl.support([1.0, 0.0, 0.0]) == pytest.approx(
             1.0 + 4.0 * 0.01
         )
         # pole: half-height R/2 plus the disc's thickness
-        assert cyl.body3d.support([0.0, 0.0, 1.0]) == pytest.approx(2.0 + 0.01)
+        assert cyl.support([0.0, 0.0, 1.0]) == pytest.approx(2.0 + 0.01)
 
     def test_needle_is_unit_length_segment(self):
         seg = needle(0.01)
@@ -170,7 +171,7 @@ class TestCylinderSplit:
         slope_lo = reps[2.0].lhs_extrapolated - reps[1.0].lhs_extrapolated
         slope_hi = (reps[4.0].lhs_extrapolated - reps[2.0].lhs_extrapolated) / 2.0
         f2 = equator_restriction(f)
-        eq, _ = circle_functional(f2, unit_disc.planar, cgrid)
+        eq, _ = mixed_area_integral(f2, [unit_disc.planar], cgrid)
         assert slope_lo == pytest.approx(0.5 * eq, rel=0.01)
         assert slope_hi == pytest.approx(0.5 * eq, rel=0.01)
 
@@ -270,3 +271,39 @@ class TestReductionLimit:
             dimension_reduction_limit(
                 const_one(), unit_disc, R_list=(0.0, 2.0), grid=rgrid, circle=cgrid
             )
+
+    def test_lengths_reported_ascending(self, unit_disc):
+        # the CLI verdict reads the decay in list order and the tolerance at
+        # the last entry, so the report lists R ascending in any input order
+        grids = dict(grid=latitude_grid(40, 24), circle=circle_grid(256))
+        up = dimension_reduction_limit(const_one(), unit_disc, R_list=(2, 8, 32), **grids)
+        down = dimension_reduction_limit(const_one(), unit_disc, R_list=(32, 8, 2), **grids)
+        assert down.R_list == (2.0, 8.0, 32.0)
+        assert down == up
+
+
+class TestSharedSweep:
+    def test_limit_scales_the_cylinder_sweep(self, unit_disc):
+        # one thickness sweep serves both: the scaled limit at a single R is
+        # the cylinder split's extrapolated side divided by R, to the bit
+        f = polynomial(3, {(0, 0, 0): 1.0, (2, 0, 0): 0.4, (0, 1, 1): 0.3}, label="f")
+        grids = dict(grid=latitude_grid(40, 24), circle=circle_grid(256))
+        R, deltas = 3.0, (0.03, 0.02, 0.01)
+        lim = dimension_reduction_limit(f, unit_disc, R_list=(R,), deltas=deltas, **grids)
+        split = cylinder_lemma_residual(f, unit_disc, R, deltas=deltas, **grids)
+        assert lim.scaled_values[0] == split.lhs_extrapolated / R
+
+    def test_repeats_rejected_before_any_integral(self, monkeypatch, unit_disc):
+        # the extrapolation divides by differences of thicknesses
+        calls = []
+        monkeypatch.setattr(reduction, "_mixed_integral", lambda *args: calls.append(args))
+        f, grids = const_one(), dict(grid=latitude_grid(40, 24), circle=circle_grid(256))
+        for run in (
+            lambda: cylinder_lemma_residual(f, unit_disc, 1.0, deltas=(0.05, 0.05), **grids),
+            lambda: segment_factor_identity(unit_disc, ball(3), deltas=(0.05, 0.05, 0.02), **grids),
+            lambda: dimension_reduction_limit(f, unit_disc, deltas=(0.02, 0.02), **grids),
+            lambda: dimension_reduction_limit(f, unit_disc, R_list=(2.0, 2.0), **grids),
+        ):
+            with pytest.raises(DomainError, match="distinct"):
+                run()
+        assert not calls
