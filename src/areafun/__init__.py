@@ -49,7 +49,6 @@ from .experiments import (
 from .functionals import (
     ConcavityReport,
     concavity_criterion,
-    convention_factor,
     first_variation,
     functional_difference,
     functional_segment,
@@ -100,7 +99,6 @@ from .symfun import (
     elem_sym_batch,
     elem_sym_from_eigs,
     elem_sym_kronecker,
-    mixed_discriminant,
     mixed_discriminant_batch,
     trace_pair,
 )

@@ -562,6 +562,8 @@ def _cylinder_check_csv(p):
 
 
 def _dimred(s, c):
+    if len(s.R) < 2:  # the verdict is the decay of the error between lengths
+        raise DomainError("dimred: --R needs at least two lengths")
     K1, f = parse_flat(s.K1, max(s.deltas)), parse_function(s.f, 3)
     grid = reduction_grid(s.nz, s.naz)
     rep = dimension_reduction_limit(f, K1, R_list=s.R, deltas=s.deltas, grid=grid)

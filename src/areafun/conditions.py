@@ -55,28 +55,29 @@ class ConditionReport:
 
 
 class EigenSumScan:
-    """One eigendecomposition of Q(f, .) over a grid, queried for every order."""
+    """The least sum of the n-i smallest eigenvalues of Q(f, .) over a grid,
+    and the first node holding it, for every order i from one walk of the
+    grid's node blocks: each block's forms are solved once for all orders."""
 
     def __init__(self, f, grid):
         if f.n != grid.n:
             raise DomainError("function and grid dimensions differ")
         self.f = f
         self.grid = grid
-        Q = q_batch(f, grid.nodes)
-        lam = np.linalg.eigvalsh(Q)  # ascending rows
-        self.cumsums = np.cumsum(lam, axis=1)
 
-    def sums(self, i):
-        """Per-node sum of the n-i smallest eigenvalues."""
+        def per_block(b):
+            lam = np.linalg.eigvalsh(q_batch(f, grid.nodes[b], first=b.start))  # ascending
+            return np.cumsum(lam, axis=1).T  # row k: the k+1 smallest summed
+
+        _, self._least, self._where = grid.walk_blocks(per_block, 0, least=f.n - 1)
+
+    def worst(self, i):
+        """(least sum of the n-i smallest eigenvalues, a copy of its node)."""
         n = self.f.n
         if not (1 <= i <= n - 1):
             raise DomainError(f"order must satisfy 1 <= i <= {n - 1}")
-        return self.cumsums[:, n - i - 1]
-
-    def worst(self, i):
-        s = self.sums(i)
-        k = int(np.argmin(s))
-        return float(s[k]), self.grid.nodes[k].copy()
+        k = n - i - 1
+        return float(self._least[k]), self.grid.nodes[int(self._where[k])].copy()
 
 
 def eigen_sum(f, u, i):
@@ -168,6 +169,8 @@ def check_mi(f, i, grid, tol=None, refine=True, scan=None):
     """
     if scan is None:
         scan = EigenSumScan(f, grid)
+    elif scan.f is not f or scan.grid is not grid:
+        raise DomainError("check_mi: the scan belongs to another weight or grid")
     if tol is None:
         tol = DEFAULT_TOL
     worst, node = scan.worst(i)

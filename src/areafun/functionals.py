@@ -6,9 +6,9 @@ The central object is
 
 where density_i(K, u) = elem_sym(q_matrix(h_K, u), i) is the i-th elementary
 symmetric function of the principal curvature radii.  This density convention
-carries no binomial normalisation; convention_factor(n, i) converts to the
-mixed-form normalisation in which the order-i density of the unit ball is 1
-(divide by it).  The two agree at i = n-1.
+carries no binomial normalisation; dividing by math.comb(n - 1, i) converts
+to the mixed-form normalisation in which the order-i density of the unit
+ball is 1.  The two agree at i = n-1.
 
 Derivatives of F along support-function perturbations h + s*phi follow from
 the matrix calculus of elem_sym: the s-derivative of the density is
@@ -28,7 +28,6 @@ or a form stack; product grids build their nodes per block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,6 @@ from .symfun import (
     elem_sym_pencil,
     mixed_discriminant_batch,
 )
-
-
-def convention_factor(n, i):
-    """elem-sym density = convention_factor * (ball-normalised mixed density)."""
-    _check_order(n, i)
-    return math.comb(n - 1, i)
 
 
 def _check_order(n, i):
@@ -165,8 +158,8 @@ def _mixed_integral(weight, bodies, grid):
         least = [np.linalg.eigvalsh(Q)[:, 0] for Q in stacks] if g is grid else []
         return np.vstack([weight(U) * mixed_discriminant_batch(stacks), *least])
 
-    (value,), minima = grid.walk_blocks(lambda b: per_block(grid, b), 1, len(bodies))
-    (rough,), _ = grid.coarse().walk_blocks(lambda b: per_block(grid.coarse(), b), 1)
+    (value,), minima, _ = grid.walk_blocks(lambda b: per_block(grid, b), 1, len(bodies))
+    (rough,), _, _ = grid.coarse().walk_blocks(lambda b: per_block(grid.coarse(), b), 1)
     return float(value), float(abs(value - rough)), minima
 
 
@@ -242,7 +235,7 @@ def _sweep(f, body, phi, i, grid, rows, margin=None):
         vals = [_INTEGRANDS[r](k) for r in rows]
         return np.vstack(vals if margin is None else vals + [certified_minimum(k.Qh, k.Qp, margin)])
 
-    sums, least = grid.walk_blocks(per_block, count, least=int(margin is not None))
+    sums, least, _ = grid.walk_blocks(per_block, count, least=int(margin is not None))
     return sums, float(least[0]) if len(least) else None
 
 

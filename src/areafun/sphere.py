@@ -97,9 +97,6 @@ class SphericalFunction:
             vals[b] = self._jet(U2[b], 0)[0]
         return float(vals[0]) if single else vals
 
-    def __call__(self, u):
-        return self.value(u)
-
     def extension_value(self, X):
         X2, single = _as_points(X, self.n)
         r = np.linalg.norm(X2, axis=1)
@@ -511,15 +508,20 @@ class QuadratureGrid:
         return self._coarse
 
     def walk_blocks(self, per_block, rows, least=0):
-        """(sums, smallest) of the values (rows + least, len) that per_block(b)
-        gives at the nodes self.nodes[b], one block at a time: the first rows
-        rows summed as weighted_sum sums them, and each trailing row's least."""
-        sums, smallest = np.zeros(rows), np.full(least, math.inf)
+        """(sums, smallest, where) of the values (rows + least, len) that
+        per_block(b) gives at the nodes self.nodes[b], one block at a time: the
+        first rows rows summed as weighted_sum sums them, and each trailing
+        row's least with the index of the first node holding it, as np.min and
+        np.argmin give them over the full row (a NaN is the least)."""
+        sums, smallest, where = np.zeros(rows), np.full(least, math.inf), np.zeros(least, int)
         for b in node_blocks(len(self)):
             vals = per_block(b)
             sums += self._block_sums(vals[:rows], b)
-            smallest = np.minimum(smallest, np.min(vals[rows:], axis=1))
-        return sums, smallest
+            k = np.argmin(vals[rows:], axis=1)
+            low = vals[rows + np.arange(least), k]
+            wins = (low < smallest) | (np.isnan(low) & ~np.isnan(smallest))
+            smallest, where = np.where(wins, low, smallest), np.where(wins, b.start + k, where)
+        return sums, smallest, where
 
     def weighted_sum(self, vals):
         """Quadrature sum over the node axis (the last) of per-node values:

@@ -290,14 +290,6 @@ def elem_sym_pencil(As, Bs, i, cof=None):
     return np.stack(out)
 
 
-def mixed_discriminant(mats):
-    """Mixed discriminant D(A_1, .., A_N) normalized so D(A, .., A) = det(A)."""
-    mats = [check_symmetric(M) for M in mats]
-    if any(M.shape != mats[0].shape for M in mats):
-        raise DomainError("mixed_discriminant: matrices must share one dimension")
-    return float(mixed_discriminant_batch(mats))
-
-
 def mixed_discriminant_batch(stacks):
     """Mixed discriminant for N stacks of symmetric matrices, each (..., N, N) -> (...,).
 

@@ -597,6 +597,14 @@ class TestExitCodes:
         assert code == EXIT_USAGE and not out.strip()
         assert "must be distinct" in err or "two distinct thicknesses" in err
 
+    def test_dimred_single_length_exits_2(self, capsys, monkeypatch):
+        # one length has no decay to judge; rejected before any integral runs
+        monkeypatch.setattr("areafun.cli.dimension_reduction_limit", None)
+        code = main(["dimred", "--R", "8"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and not out.strip()
+        assert "--R needs at least two lengths" in err
+
     def test_dimred_verdict_ignores_length_order(self, capsys):
         # the tolerance applies at the largest R and the decay runs up R,
         # whatever order --R lists the lengths in

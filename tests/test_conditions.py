@@ -1,12 +1,13 @@
 """Eigenvalue-sum condition: verdicts, the refinement, the diagonal reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from areafun import sphere
-from areafun.bodies import ellipsoid
+from areafun.bodies import certify_c2plus, ellipsoid
 from areafun.conditions import (
     EigenSumScan,
     _diagonal_form_values,
@@ -102,13 +103,24 @@ class TestCheckMi:
 
 
 class TestEigenSumScan:
-    def test_scan_matches_pointwise(self, grid3):
-        f = saddle(0.5)
-        scan = EigenSumScan(f, grid3)
-        for i in (1, 2):
-            s = scan.sums(i)
-            for k in (0, 100, 777):
-                assert s[k] == pytest.approx(eigen_sum(f, grid3.nodes[k], i), abs=1e-10)
+    def test_scan_matches_pointwise(self):
+        # the oracle is the whole-stack route: every node's forms solved at
+        # once and cumulated; the scan's least and node equal its min and
+        # argmin node bit for bit, for every order, over several node blocks
+        m = 2 * sphere.NODE_BLOCK + 100
+        weights = [saddle(0.5), sphere.polynomial(4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 0.6,
+                                                      (0, 0, 1, 1): -0.5})]
+        for f in weights:
+            grid = make_grid(f.n, m)
+            scan = EigenSumScan(f, grid)
+            sums = np.cumsum(np.linalg.eigvalsh(sphere.q_batch(f, grid.nodes)), axis=1)
+            for i in range(1, f.n):
+                s = sums[:, f.n - i - 1]
+                k = int(np.argmin(s))
+                value, node = scan.worst(i)
+                assert value == s[k] and np.array_equal(node, grid.nodes[k]), (f.n, i)
+                for k in (0, 100, 777):
+                    assert s[k] == pytest.approx(eigen_sum(f, grid.nodes[k], i), abs=1e-10)
 
     def test_shared_scan_consistent(self, grid3):
         f = saddle(0.5)
@@ -116,6 +128,33 @@ class TestEigenSumScan:
         r1 = check_mi(f, 2, grid3, scan=scan, refine=False)
         r2 = check_mi(f, 2, grid3, refine=False)
         assert r1.worst_value == pytest.approx(r2.worst_value, abs=0.0)
+
+    def test_scan_of_another_weight_or_grid_rejected(self, grid3):
+        # saddle(0.48) violates the order-2 condition; the constant's scan
+        # would report it satisfied
+        f = saddle(0.48)
+        for scan in (EigenSumScan(sphere.constant(3, 1.0), grid3),
+                     EigenSumScan(f, make_grid(3, len(grid3)))):
+            with pytest.raises(DomainError, match="another weight or grid"):
+                check_mi(f, 2, grid3, scan=scan, refine=False)
+        assert check_mi(f, 2, grid3, refine=False).verdict == "violated"
+
+    @pytest.mark.parametrize("call", ["check_mi", "certify_c2plus"])
+    def test_memory_follows_the_node_block(self, call):
+        # on an n=4 grid of 2^19 nodes, built before tracing, one whole-grid
+        # stack of forms alone would take 38 MB
+        grid = make_grid(4, 1 << 19)
+        tracemalloc.start()
+        try:
+            if call == "check_mi":
+                f = sphere.polynomial(4, {(0, 0, 0, 0): 1.0, (2, 0, 0, 0): 0.6})
+                check_mi(f, 2, grid)
+            else:
+                certify_c2plus(ellipsoid([1.0, 1.2, 0.8, 1.1]), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, peak
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from areafun.identities import ibp_symmetry_residual
 from areafun.functionals import (
     _sweep,
     concavity_criterion,
-    convention_factor,
     power_concavity,
     first_variation,
     functional_difference,
@@ -101,13 +100,6 @@ class TestClosedForms:
             val, est = functional_value(f, B, i, grid4)
             want = sphere.sphere_area(4) * math.comb(3, i) * 1.5**i
             assert val == pytest.approx(want, rel=1e-10)
-
-    def test_convention_factor(self):
-        assert convention_factor(3, 1) == 2
-        assert convention_factor(3, 2) == 1
-        assert convention_factor(4, 2) == 3
-        with pytest.raises(DomainError):
-            convention_factor(3, 3)
 
 
 class TestMixedForms:
@@ -499,6 +491,25 @@ class TestSweep:
         assert len(blocks) > 1 and full.shape == (len(rows) + 1 + 1, len(grid))
         assert sums.tobytes() == grid.weighted_sum(full[:-1]).tobytes()
         assert worst == np.min(full[-1])
+
+    def test_least_rows_match_min_and_argmin(self):
+        # the least of each trailing row and its first node, over three node
+        # blocks: ties within and across blocks go to the first node, and
+        # the first NaN is the least, as np.min and np.argmin of the full row
+        B = sphere.NODE_BLOCK
+        grid = make_grid(3, 2 * B + 100)
+        rows = np.random.default_rng(7).uniform(1.0, 2.0, size=(7, len(grid)))
+        rows[1, [5, 40]] = 0.0
+        rows[2, [B - 1, B, 2 * B + 3]] = -1.0
+        rows[3, [B + 9, 2 * B + 50]] = -1.0
+        rows[4, [0, B + 2, 2 * B + 1]] = [-5.0, np.nan, np.nan]
+        rows[5, 2 * B + 99] = -3.0
+        rows[6] = 1.0
+        sums, smallest, where = grid.walk_blocks(lambda b: rows[:, b], 1, least=6)
+        assert sums.tobytes() == grid.weighted_sum(rows[:1]).tobytes()
+        np.testing.assert_array_equal(smallest, np.min(rows[1:], axis=1))
+        np.testing.assert_array_equal(where, np.argmin(rows[1:], axis=1))
+        assert where.tolist() == [5, B - 1, B + 9, B + 2, 2 * B + 99, 0]
 
     def test_nonfinite_value_names_global_node(self):
         grid = make_grid(3, sphere.NODE_BLOCK + 100)

@@ -85,15 +85,23 @@ def imported_names(path):
 
 
 def test_one_node_sweep_for_every_one_body_integral():
-    # node blocks are walked only by functionals: its one-body sweep, its
-    # walks over several bodies and its table of density differences
+    # grid walks are functionals' one-body sweep and its walks over several
+    # bodies, the eigenvalue-sum scan and the curvature certificate; node
+    # blocks are taken only by functionals, for its table of density
+    # differences
     package = [path for path in MODULES if path.parent.name == "areafun"]
     walkers = {
         (path.stem, name)
         for path in package
         for name, _ in node_walkers(path.read_text(encoding="utf-8"))
     }
-    assert {m for m, _ in walkers} == {"functionals"}
+    assert walkers == {
+        ("functionals", "functional_difference"),
+        ("functionals", "_mixed_integral"),
+        ("functionals", "_sweep"),
+        ("conditions", "EigenSumScan"),
+        ("bodies", "certify_c2plus"),
+    }
     assert {p.stem for p in package if "node_blocks" in imported_names(p)} == {"functionals"}
     # and the drivers, the identity checks and the reduction build no
     # per-block integrand

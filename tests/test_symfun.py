@@ -23,7 +23,6 @@ from areafun.symfun import (
     elem_sym_from_eigs,
     elem_sym_kronecker,
     elem_sym_pencil,
-    mixed_discriminant,
     mixed_discriminant_batch,
     pair_deleted_elem_sym,
     trace_pair,
@@ -264,37 +263,39 @@ class TestSecondDerivative:
 class TestMixedDiscriminant:
     def test_all_equal_is_det(self):
         A = rand_sym(3)
-        assert mixed_discriminant([A, A, A]) == pytest.approx(np.linalg.det(A), rel=1e-9, abs=1e-11)
+        got = mixed_discriminant_batch([A, A, A])
+        assert got == pytest.approx(np.linalg.det(A), rel=1e-9, abs=1e-11)
 
     def test_identity_slots_give_elem_sym(self):
         # binomial(N, i) * D(A x i, I x (N-i)) = elem_sym(A, i)
         for N, i in [(3, 1), (3, 2), (4, 2), (4, 3)]:
             A = rand_sym(N)
             mats = [A] * i + [np.eye(N)] * (N - i)
-            got = math.comb(N, i) * mixed_discriminant(mats)
+            got = math.comb(N, i) * mixed_discriminant_batch(mats)
             assert got == pytest.approx(elem_sym(A, i), rel=1e-9, abs=1e-11)
 
     def test_multilinear(self):
         A, B, C = rand_sym(3), rand_sym(3), rand_sym(3)
-        lhs = mixed_discriminant([2.0 * A + B, C, C])
-        rhs = 2.0 * mixed_discriminant([A, C, C]) + mixed_discriminant([B, C, C])
+        lhs = mixed_discriminant_batch([2.0 * A + B, C, C])
+        rhs = 2.0 * mixed_discriminant_batch([A, C, C]) + mixed_discriminant_batch([B, C, C])
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
     def test_symmetric_in_slots(self):
         A, B, C = rand_sym(3), rand_sym(3), rand_sym(3)
-        assert mixed_discriminant([A, B, C]) == pytest.approx(
-            mixed_discriminant([C, A, B]), rel=1e-9, abs=1e-12
+        assert mixed_discriminant_batch([A, B, C]) == pytest.approx(
+            mixed_discriminant_batch([C, A, B]), rel=1e-9, abs=1e-12
         )
 
     def test_wrong_count_rejected(self):
         with pytest.raises(DomainError):
-            mixed_discriminant([np.eye(3), np.eye(3)])
+            mixed_discriminant_batch([np.eye(3), np.eye(3)])
 
     def test_batch_agrees(self):
+        # a stack's entries are those of its matrices taken one at a time
         stacks = [np.stack([rand_sym(3) for _ in range(4)]) for _ in range(3)]
         got = mixed_discriminant_batch(stacks)
         want = np.array(
-            [mixed_discriminant([s[k] for s in stacks]) for k in range(4)]
+            [mixed_discriminant_batch([s[k] for s in stacks]) for k in range(4)]
         )
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-11)
 
