@@ -301,7 +301,7 @@ def mixed_discriminant_batch(stacks):
     N = stacks[0].shape[-1]
     if len(stacks) != N:
         raise DomainError(
-            f"mixed_discriminant: need exactly N={N} stacks, got {len(stacks)}"
+            f"mixed_discriminant_batch: need exactly N={N} stacks, got {len(stacks)}"
         )
     total = 0.0
     for size in range(1, N + 1):
