@@ -11,7 +11,7 @@ Nothing is cached: the integrals and certify_c2plus form the forms per node
 block as they go, q_stack a whole grid's on each call.  Densities are
 polynomials in the forms (areafun.symfun); eigenvalues are solved only where
 the spectrum is the question, and a pencil h + s phi is certified without
-forming its forms.
+forming its forms, solving only at the nodes a closed-form screen keeps.
 """
 
 from __future__ import annotations
@@ -179,15 +179,99 @@ def realize_q(A, u, label=None):
 
 
 def certified_minimum(Qh, Qp, margin):
-    """Per node, the least eigenvalue of C = L^-1 Qp L^-T, L L^T = Qh - margin I:
-    Qh + s Qp >= margin is a congruence away from I + s C >= 0.  All -inf
-    when the Cholesky factorisation fails (Qh not above the margin)."""
+    """Least row of a node block: the least eigenvalue of C = L^-1 Qp L^-T,
+    L L^T = Qh - margin I, at every node that can hold the block's least, and
+    +inf elsewhere.  Qh + s Qp >= margin is a congruence away from I + s C >= 0.
+    All -inf when the Cholesky factorisation fails (Qh not above the margin).
+
+    The value at a kept node is the LAPACK route's (inv, then eigvalsh), node
+    for node the float it gives on the whole block, so the row's min and
+    first argmin are that route's.  For N <= 3 the block is screened first:
+    _least_screen gives each node a closed-form least eigenvalue s_k of its C
+    and a bound tau_k >= |s_k - lambda_k| on the LAPACK value lambda_k, and
+    only nodes with s_k - tau_k <= min_j (s_j + tau_j) are kept; every node
+    holding the least passes, since lambda_k <= lambda_j for all j.
+
+    The bound, with u = 2^-53 and a, x, p the largest entry moduli of L, of
+    X (the screen's L^-1) and of Qp, so that S = N^3 x^2 p bounds ||C||_2
+    and a x >= 1/N (L X = I); constants are for N = 3 (Higham, Accuracy and
+    Stability of Numerical Algorithms, chs. 3, 8 and 9):
+
+    - both routes form C from the same L.  Substitution inverts it to within
+      N u |X||L||X|, entries at most N^3 u a x^2; LU with partial pivoting,
+      whose factors grow by at most 2^(N-1), to within 3 N^4 2^(N-1) u a x^2.
+      An entry error e of X moves C by at most 2 N^3 e x p in 2-norm, and
+      the congruence rounds to 2 N u S more, so by Weyl the two routes'
+      least eigenvalues differ by at most (1944 + 54) u a x S + 12 u S;
+    - eigvalsh is backward stable, within 8 N u S, and the closed forms (the
+      quadratic through hypot for N = 2; for N = 3 the trigonometric cubic
+      in q = tr C / 3, B = C - q I, p_B = ||B||_F / sqrt(6) and
+      r = det(B / p_B) / 2) round to at most 16 N u S: together at most
+      72 u S <= 216 u a x S;
+    - the cubic's angle arccos(r) / 3 has an infinite slope at r = 1, where
+      the two smallest roots meet (Kopp, arXiv:physics/0610206).  B / p_B
+      has entries within 7.5 u relative and Frobenius norm sqrt(6), so its
+      six triple products sum to at most 14.7 in modulus and r is within
+      d = 250 u; that moves the angle by up to (pi / 3) sqrt(d / 2), and the
+      least root by 2 p_B <= sqrt(2) S times that, at most 16.6 sqrt(u) S.
+
+    tau = S (2^12 N^2 a x u + 2^6 sqrt(u)), without the root term for N < 3,
+    covers these with room for its own rounding and that of s +- tau.  It
+    assumes no under- or overflow: a node with a, x or a nonzero p outside
+    [2^-200, 2^200] gets tau = inf, and a block with a non-finite screen
+    value, or N >= 4, keeps every node."""
+    N = Qh.shape[-1]
     try:
-        L = np.linalg.cholesky(Qh - margin * np.eye(Qh.shape[-1]))
+        L = np.linalg.cholesky(Qh - margin * np.eye(N))
     except np.linalg.LinAlgError:
         return np.full(len(Qh), -math.inf)
-    L_inv = np.linalg.inv(L)
-    return np.linalg.eigvalsh(L_inv @ Qp @ L_inv.transpose(0, 2, 1))[:, 0]
+    keep = slice(None)
+    if N <= 3:
+        with np.errstate(all="ignore"):
+            s, tau = _least_screen(L, Qp)
+            if np.isfinite(s).all():
+                keep = np.flatnonzero(s - tau <= np.min(s + tau))
+    least = np.full(len(Qh), math.inf)
+    L_inv = np.linalg.inv(L[keep])
+    least[keep] = np.linalg.eigvalsh(L_inv @ Qp[keep] @ L_inv.transpose(0, 2, 1))[:, 0]
+    return least
+
+
+def _least_screen(L, Qp):
+    """(s, tau) of certified_minimum: each node's closed-form least eigenvalue
+    of L^-1 Qp L^-T, from entry arrays of the factor's explicit inverse, and
+    its error bound (N <= 3)."""
+    N = L.shape[-1]
+    Lc, P = L.transpose(1, 2, 0), Qp.transpose(1, 2, 0)  # entry arrays, no copy
+    lower = [(i, j) for i in range(N) for j in range(i + 1)]
+    X = {(i, i): 1.0 / Lc[i, i] for i in range(N)}
+    for j in range(N):
+        for i in range(j + 1, N):
+            X[i, j] = -X[i, i] * sum(Lc[i, k] * X[k, j] for k in range(j, i))
+    Y = [[sum(X[i, k] * P[k, l] for k in range(i + 1)) for l in range(N)] for i in range(N)]
+    C = {(i, j): sum(Y[i][l] * X[j, l] for l in range(j + 1)) for i, j in lower}
+    if N == 1:
+        s = C[0, 0]
+    elif N == 2:
+        s = 0.5 * (C[0, 0] + C[1, 1]) - np.hypot(0.5 * (C[0, 0] - C[1, 1]), C[1, 0])
+    else:
+        q = (C[0, 0] + C[1, 1] + C[2, 2]) / 3.0
+        b0, b1, b2, c10, c20, c21 = C[0, 0] - q, C[1, 1] - q, C[2, 2] - q, C[1, 0], C[2, 0], C[2, 1]
+        pb = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2.0 * (c10 * c10 + c20 * c20 + c21 * c21)) / 6)
+        w = 1.0 / np.where(pb > 0.0, pb, 1.0)
+        b0, b1, b2, c10, c20, c21 = (v * w for v in (b0, b1, b2, c10, c20, c21))
+        det = b0 * (b1 * b2 - c21 * c21) - c10 * (c10 * b2 - c21 * c20)
+        det += c20 * (c10 * c21 - b1 * c20)
+        angle = np.arccos(np.clip(0.5 * det, -1.0, 1.0)) / 3.0
+        s = q + 2.0 * pb * np.cos(angle + 2.0 * math.pi / 3.0)
+    a, x = (np.abs([v[ij] for ij in lower]).max(axis=0) for v in (Lc, X))
+    p = np.abs([P[k, l] for k in range(N) for l in range(N)]).max(axis=0)
+    u = 2.0**-53
+    root = 2.0**6 * math.sqrt(u) if N == 3 else 0.0
+    tau = N**3 * x * x * p * (2.0**12 * N * N * a * x * u + root)
+    tame = (a >= 2.0**-200) & (a <= 2.0**200) & (x >= 2.0**-200) & (x <= 2.0**200)
+    tame &= (p == 0.0) | (p >= 2.0**-200) & (p <= 2.0**200)
+    return s, np.where(tame, tau, math.inf)
 
 
 def certified_strength(worst):

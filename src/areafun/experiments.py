@@ -948,18 +948,23 @@ def _oscillation_panel_grid(phi, order=6):
     accuracy — a uniform midpoint grid at affordable sizes leaves a relative
     error at the percent level, far above the curvature-scale signals the
     segment confirmation needs.
+
+    The box is phi's support box [-rho, rho]^(n-1): every chart axis carries
+    a cutoff factor that vanishes with its derivatives from |x_a| = rho on, so
+    phi, its gradient and its forms are exactly 0 outside the box, and so is
+    every row of the hunt's sweep (each carries phi, its gradient or Q_phi)
+    and the certified minimum there.  Nodes outside would add exact zeros.
     """
     rho = phi.patch_radius
     eps = phi.amplitude
     eta = phi.wave_smoothing
     n = len(phi.center)
-    width = 1.02 * rho
-    knots = [-rho, -0.6 * rho, 0.6 * rho, rho, -width, width]
-    k_max = int(math.ceil(width / eps)) + 1
+    knots = [-rho, -0.6 * rho, 0.6 * rho, rho]
+    k_max = int(math.ceil(rho / eps)) + 1
     ks = np.arange(-k_max, k_max + 1, dtype=float)
     caps = np.concatenate([eps * (ks - eta), eps * (ks + eta)]) if eta > 0 else eps * ks
-    ax1 = _refine_breaks(np.concatenate([caps, knots]), width, 0.2 * rho)
-    trans = _refine_breaks(np.asarray(knots), width, 0.2 * rho)
+    ax1 = _refine_breaks(np.concatenate([caps, knots]), rho, 0.2 * rho)
+    trans = _refine_breaks(np.asarray(knots), rho, 0.2 * rho)
     return panel_grid(phi.center, phi.frame, [ax1] + [trans] * (n - 2), order)
 
 

@@ -13,7 +13,8 @@ survives.
 The thickened computations converge as the thickness delta goes to 0 with a
 leading error roughly linear in delta, so every verification evaluates at a
 few thicknesses and extrapolates linearly to delta = 0, reporting the spread
-between extrapolations from different delta pairs as a stability measure.
+between extrapolations from different delta pairs as a stability measure
+(None from two thicknesses, which make only one pair).
 """
 
 from dataclasses import dataclass
@@ -204,12 +205,14 @@ def _thickened(weight, K1, partner, deltas, grid):
 def _extrapolate(deltas, values):
     """Linear extrapolation to delta = 0 from the last two thicknesses, plus
     the spread against the extrapolation from the first two as a stability
-    measure."""
+    measure; None with two thicknesses, where both pairs are the same one."""
 
     def pair(d1, v1, d2, v2):
         return v2 + (v1 - v2) * (0.0 - d2) / (d1 - d2)
 
     last = pair(deltas[-2], values[-2], deltas[-1], values[-1])
+    if len(deltas) < 3:
+        return last, None
     first = pair(deltas[0], values[0], deltas[1], values[1])
     return last, abs(last - first)
 
@@ -224,7 +227,7 @@ class CylinderSplitReport:
     lhs_values: list
     lhs_estimates: list
     lhs_extrapolated: float
-    extrapolation_spread: float
+    extrapolation_spread: float | None  # None from two thicknesses
     equator_term: float
     pole_term: float
     rhs: float
@@ -296,7 +299,7 @@ class SegmentFactorReport:
     deltas: tuple
     ambient_values: list  # 3 V(L, K1_delta, needle_delta) per thickness
     ambient_extrapolated: float
-    extrapolation_spread: float
+    extrapolation_spread: float | None  # None from two thicknesses
     planar_value: float
 
     @property

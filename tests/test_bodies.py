@@ -1,13 +1,18 @@
 """Support bodies: construction, certification, exact Hessian-form realization."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from areafun import sphere
 from areafun.bodies import (
+    MARGIN,
     ball,
+    certified_minimum,
     certified_strength,
     certify_c2plus,
     combine,
@@ -105,6 +110,106 @@ class TestCertification:
         g = make_grid(3, 256)
         K = ellipsoid([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(K.q_eigs(g), np.linalg.eigvalsh(K.q_stack(g)))
+
+
+def lapack_minimum(Qh, Qp, margin):
+    """The route certified_minimum screens, at every node of a block: Cholesky,
+    inv and eigvalsh, all -inf when the factorisation fails."""
+    try:
+        L = np.linalg.cholesky(Qh - margin * np.eye(Qh.shape[-1]))
+    except np.linalg.LinAlgError:
+        return np.full(len(Qh), -math.inf)
+    L_inv = np.linalg.inv(L)
+    return np.linalg.eigvalsh(L_inv @ Qp @ L_inv.transpose(0, 2, 1))[:, 0]
+
+
+BLOCK = 64  # the node block of the screened walks below
+
+
+def pencil_stack(seed, N, gap, end, fail, m=3 * BLOCK + 17):
+    """m pairs (Qh, Qp) whose pencils C = L^-1 Qp L^-T, L L^T = Qh - MARGIN I,
+    have their two least (end "low") or two largest ("high") eigenvalues gap
+    apart relative, least eigenvalues from equal to 1e-8 apart, and the node
+    3 copied into the second and third blocks; with fail, one Qh of the
+    second block sits at the margin."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 2.0, size=(m, N))
+    lam[:, 0] = -1.0 - rng.choice([0.0, 1e-16, 2e-16, 1e-14, 1e-12, 1e-8, 0.5], size=m)
+    lam[3, 0] = -1.0 - 2e-16
+    lam = np.sort(lam, axis=1)
+    if N > 1:
+        k = 0 if end == "low" else N - 2
+        lam[:, k + 1] = lam[:, k] + gap * np.abs(lam[:, k])
+    lam *= 10.0 ** rng.uniform(-3.0, 3.0)
+    h = np.sort(rng.uniform(0.01, 3.0, size=(m, N)), axis=1)
+    h[: m // 2, 0] = rng.uniform(1e-4, 1e-2, size=m // 2)  # thin bodies, larger kappa(L)
+    V, W = (np.linalg.qr(rng.normal(size=(m, N, N)))[0] for _ in range(2))
+    Qh = (W * (h + MARGIN)[:, None, :]) @ W.transpose(0, 2, 1)
+    Qh = 0.5 * (Qh + Qh.transpose(0, 2, 1))
+    L = np.linalg.cholesky(Qh - MARGIN * np.eye(N))
+    Qp = L @ (V * lam[:, None, :]) @ V.transpose(0, 2, 1) @ L.transpose(0, 2, 1)
+    Qp = 0.5 * (Qp + Qp.transpose(0, 2, 1))
+    for j in (BLOCK + 5, 2 * BLOCK + 9):
+        Qh[j], Qp[j] = Qh[3], Qp[3]
+    if fail:
+        Qh[BLOCK + 7] = MARGIN * np.eye(N)
+    return Qh, Qp
+
+
+class TestCertifiedMinimum:
+    """The screened least row against the LAPACK route at every node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((1, 2, 3)),
+        st.sampled_from((0.0, 1e-14, 1e-12, 1e-8)),
+        st.sampled_from(("low", "high")),
+        st.booleans(),
+    )
+    def test_least_row_is_the_lapack_route(self, seed, N, gap, end, fail):
+        # bit for bit at every node it keeps, above the block's least at every
+        # node it drops, and the walk's least and first node are the route's
+        Qh, Qp = pencil_stack(seed, N, gap, end, fail)
+        grid = make_grid(3, len(Qh))  # only its length is read
+        with mock.patch.object(sphere, "NODE_BLOCK", BLOCK):
+            blocks = list(sphere.node_blocks(len(Qh)))
+            _, (least,), (where,) = grid.walk_blocks(
+                lambda b: certified_minimum(Qh[b], Qp[b], MARGIN)[None], 0, least=1
+            )
+        dropped = 0
+        for b in blocks:
+            got, want = certified_minimum(Qh[b], Qp[b], MARGIN), lapack_minimum(Qh[b], Qp[b], MARGIN)
+            kept = got != math.inf
+            assert got[kept].tobytes() == want[kept].tobytes()
+            assert np.all(want[~kept] > np.min(want))
+            dropped += int(np.sum(~kept))
+        assert fail or dropped > 0
+        full = np.concatenate([lapack_minimum(Qh[b], Qp[b], MARGIN) for b in blocks])
+        assert (float(least).hex(), int(where)) == (float(np.min(full)).hex(), int(np.argmin(full)))
+
+    def test_plain_route_beyond_the_screen(self):
+        # N = 4, and a block whose screen is not finite, keep every node
+        rng = np.random.default_rng(5)
+        A, B = rng.normal(size=(2, 100, 4, 4))
+        cases = [(A @ A.transpose(0, 2, 1) + np.eye(4), B + B.transpose(0, 2, 1))]
+        Qh, Qp = pencil_stack(5, 2, 0.0, "low", False)
+        Qp[11, 0, 0] = np.nan
+        cases.append((Qh, Qp))
+        for Qh, Qp in cases:
+            with np.errstate(invalid="ignore"):
+                got, want = certified_minimum(Qh, Qp, MARGIN), lapack_minimum(Qh, Qp, MARGIN)
+            assert got.tobytes() == want.tobytes()
+
+    def test_node_beyond_the_screens_range_is_kept(self):
+        # an entry above 2^200 leaves the bound's range: tau = inf keeps the node
+        Qh, Qp = pencil_stack(5, 3, 0.0, "low", False)
+        Qp[11] *= 1e300 / np.abs(Qp[11]).max()
+        with np.errstate(over="ignore"):
+            got, want = certified_minimum(Qh, Qp, MARGIN), lapack_minimum(Qh, Qp, MARGIN)
+        kept = got != math.inf
+        assert kept[11] and got[kept].tobytes() == want[kept].tobytes()
+        assert np.all(want[~kept] > np.min(want))
 
 
 class TestRealizeQ:

@@ -439,6 +439,17 @@ class TestCommands:
         assert doc["raw_errors_decay"] is True
         assert doc["report"]["corrected_errors"][-1] <= 0.02
 
+    def test_two_thicknesses_report_no_spread(self, capsys):
+        # two thicknesses make one extrapolation pair: the spread is null, not 0
+        code, doc = run_cli(
+            capsys,
+            ["cylinder-check", "--K1", "disc:1", "--R", "1", "--deltas", "0.02,0.01",
+             "--L", "ball:1"],
+        )
+        assert code == EXIT_OK
+        assert doc["report"]["extrapolation_spread"] is None
+        assert doc["segment_identity"]["extrapolation_spread"] is None
+
     def test_corpus_slice(self, capsys):
         code, doc = run_cli(
             capsys,
